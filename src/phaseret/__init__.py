@@ -3,8 +3,8 @@
 Decides or empirically refutes phase-retrieval properties of vector
 frames and orthogonal-projection families over real and complex spaces:
 exact finite checks (complement property, full spark), witness
-constructions from spanning failures, and seeded multi-start searches
-for counterexample pairs.
+constructions from spanning failures, and a seeded multi-start search
+for counterexample pairs on the lifted spanning criterion.
 """
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ from .certify import (
     WitnessCheck,
     complex_counterexample,
     decide_real_rank1,
-    falsifier_objective,
     gen_full_spark,
     gen_random_frame,
     gen_random_projections,
@@ -78,7 +77,6 @@ __all__ = [
     "complement_property",
     "complex_counterexample",
     "decide_real_rank1",
-    "falsifier_objective",
     "full_spark",
     "gen_full_spark",
     "gen_random_frame",

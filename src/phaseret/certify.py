@@ -18,14 +18,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import FieldError
+from .errors import CapacityError, FieldError
 from .frames import (
     Frame,
     PartitionWitness,
     ProjectionFamily,
+    Subspace,
     complement_property,
     full_spark,
     image_matrix,
+    image_rank,
     rank1_reduction,
     spanning_at,
 )
@@ -36,11 +38,11 @@ from .linalg import (
     gaussian_matrix,
     numerical_rank,
     orthogonal_complement_point,
+    orthonormalize,
 )
 from .seeding import spawn_rng
 
 _STREAM_SPAN_SEARCH = 4
-_STREAM_PAIR_SEARCH = 5
 _STREAM_NULLSPACE = 6
 _STREAM_FRAME = 9
 
@@ -71,14 +73,13 @@ class WitnessCheck:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and step policy for the multi-start descent searches."""
+    """Budget and step policy for the multi-start spanning search."""
 
     restarts: int = 64
     max_iters: int = 500
     step_init: float = 0.1
     step_grow: float = 1.25
     step_shrink: float = 0.5
-    barrier_weight: float = 1.0
     seed: int = 0
     tol: Tolerances = dc_field(default_factory=Tolerances)
 
@@ -87,8 +88,8 @@ class SearchConfig:
             raise ValueError("restarts and max_iters must be >= 1")
         if not 0.0 < self.step_shrink < 1.0 < self.step_grow:
             raise ValueError("need 0 < step_shrink < 1 < step_grow")
-        if self.step_init <= 0.0 or self.barrier_weight < 0.0:
-            raise ValueError("step_init must be positive, barrier_weight nonnegative")
+        if self.step_init <= 0.0:
+            raise ValueError("step_init must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +158,18 @@ def verify_pr_witness(p: ProjectionFamily, u, v, tol: Tolerances = DEFAULT_TOL) 
                         max_mismatch=mm, phase_gap=pg)
 
 
+def _certified_pair(p: ProjectionFamily, u, v, tol: Tolerances) -> PrWitness | None:
+    """Rescale (u, v) jointly and re-verify it; a PrWitness only if it holds up."""
+    try:
+        u, v = joint_normalize(u, v)
+        check = verify_pr_witness(p, u, v, tol)
+    except ValueError:
+        return None
+    if not check.valid:
+        return None
+    return PrWitness(u, v, check.max_mismatch, check.phase_gap)
+
+
 def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL,
                                 seed: int = 0) -> PrWitness:
     """Witness pair (x+y, x-y) from a point whose images fail to span.
@@ -188,13 +201,9 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
                                             field=p.field, dim=p.dim)
         else:
             y = orthogonal_complement_point(a, tol, seed=draw_seed, field=p.field)
-        try:
-            u, v = joint_normalize(x + y, x - y)
-            check = verify_pr_witness(p, u, v, tol)
-        except ValueError:
-            continue
-        if check.valid:
-            return PrWitness(u, v, check.max_mismatch, check.phase_gap)
+        witness = _certified_pair(p, x + y, x - y, tol)
+        if witness is not None:
+            return witness
     raise RuntimeError("complement draws kept producing phase-equivalent pairs")
 
 
@@ -206,7 +215,8 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
     the reals, equivalent to phase retrieval by the frame's rank-1
     projections.  A failing bipartition is converted into a verified
     witness pair: x orthogonal to side I, y orthogonal to side I^c, pair
-    (x+y, x-y).  No complex analogue exists; complex input is rejected.
+    (x+y, x-y).  The verdict's point is x, where the images fail to span.
+    No complex analogue exists; complex input is rejected.
     """
     if f.field is not Field.REAL:
         raise FieldError("exact complement-property decision applies to real frames only")
@@ -222,266 +232,149 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
                                         field=f.field, dim=n)
         y = orthogonal_complement_point(side_ic, tol, seed=seed + attempt + 31,
                                         field=f.field, dim=n)
-        u, v = joint_normalize(x + y, x - y)
-        check = verify_pr_witness(p, u, v, tol)
-        if check.valid:
-            witness = PrWitness(u, v, check.max_mismatch, check.phase_gap)
+        witness = _certified_pair(p, x + y, x - y, tol)
+        if witness is not None:
             return Verdict(Status.CERTIFIED_FAILS, method="complement-property",
-                           witness=witness, partition=w)
+                           witness=witness, partition=w, point=x)
     raise RuntimeError("failed to convert a complement-property failure into a pair witness")
 
 
 # ---------------------------------------------------------------------------
-# pair objective and its descent
+# spanning search on an operator stack
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(a, axis=1, keepdims=True)
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
-def _batch_measurements(projs: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    imgs = np.einsum("mij,rj->rmi", projs, pts)
-    meas = np.einsum("rmi,rmi->rm", imgs.conj(), imgs).real
-    return imgs, meas
+def _sigma_eval(ops, X):
+    """sigma_min of the stacked images A(x) = [A_1 x ... A_k x] and its gradient, batched.
 
-
-def _pair_eval(projs, U, V, beta, s0, want_grad):
-    """Objective sum_i (||P_i u||^2 - ||P_i v||^2)^2 plus phase barrier.
-
-    The barrier is a smooth cubic hinge beta * max(0, s - s0)^3 on the
-    normalized overlap s = |<u, v>| / (||u|| ||v||); it only switches on
-    once the pair is nearly phase-equivalent.  Gradients follow the
-    convention that for complex data the returned arrays realify as
-    (Re, Im); for real data they are the plain gradient.
+    ops is a (k, d, d) operator stack and X holds one point per row.
+    With (w, z) the singular pair of sigma_min, the gradient in x is
+    sum_j conj(z_j) A_j* w; for complex data it realifies as (Re, Im).
     """
-    imgs_u, meas_u = _batch_measurements(projs, U)
-    imgs_v, meas_v = _batch_measurements(projs, V)
-    d = meas_u - meas_v
-    val = np.einsum("rm,rm->r", d, d)
-
-    a = np.einsum("ri,ri->r", U.conj(), V)
-    nu = np.linalg.norm(U, axis=1)
-    nv = np.linalg.norm(V, axis=1)
-    denom = np.where(nu * nv > 0.0, nu * nv, 1.0)
-    s = np.abs(a) / denom
-    hinge = np.maximum(0.0, s - s0)
-    val = val + beta * hinge ** 3
-    if not want_grad:
-        return val, None, None
-
-    gu = 4.0 * np.einsum("rm,rmi->ri", d, imgs_u)
-    gv = -4.0 * np.einsum("rm,rmi->ri", d, imgs_v)
-    active = np.flatnonzero((hinge > 0.0) & (np.abs(a) > 0.0))
-    if active.size:
-        k = active
-        coef = (3.0 * beta * hinge[k] ** 2)[:, None]
-        phase = (a[k].conj() / np.abs(a[k]))[:, None]
-        fu = phase * V[k] / denom[k][:, None] - (np.abs(a[k]) / (nu[k] ** 3 * nv[k]))[:, None] * U[k]
-        fv = phase.conj() * U[k] / denom[k][:, None] - (np.abs(a[k]) / (nv[k] ** 3 * nu[k]))[:, None] * V[k]
-        gu[k] += coef * fu
-        gv[k] += coef * fv
-    return val, gu, gv
+    a = np.einsum("kij,rj->rik", ops, X)
+    uu, s, vh = np.linalg.svd(a, full_matrices=False)
+    w = uu[:, :, -1]
+    zbar = vh[:, -1, :]
+    adj_w = np.einsum("kij,rj->rki", np.conj(np.swapaxes(ops, 1, 2)), w)
+    g = np.einsum("rk,rki->ri", zbar, adj_w)
+    return s[:, -1], g
 
 
-def _theta_split(field: Field, n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if field is Field.COMPLEX:
-        if theta.size != 4 * n:
-            raise ValueError(f"theta must have length {4 * n}")
-        u = theta[:n] + 1j * theta[n:2 * n]
-        v = theta[2 * n:3 * n] + 1j * theta[3 * n:]
-    else:
-        if theta.size != 2 * n:
-            raise ValueError(f"theta must have length {2 * n}")
-        u, v = theta[:n].copy(), theta[n:].copy()
-    return u, v
+def _descent(value_grad, X, cfg: SearchConfig):
+    """Multi-start projected descent with per-restart step control.
 
-
-def _theta_join(field: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if field is Field.COMPLEX:
-        return np.concatenate([u.real, u.imag, v.real, v.imag])
-    return np.concatenate([u, v])
-
-
-def falsifier_objective(p: ProjectionFamily, theta, tol: Tolerances = DEFAULT_TOL,
-                        barrier_weight: float = 1.0) -> tuple[float, np.ndarray]:
-    """Pair-search objective and exact gradient in flat real coordinates.
-
-    theta packs (u, v): real field [u, v], complex field [Re u, Im u,
-    Re v, Im v].  Exposed so the gradient can be checked against finite
-    differences.
+    Each row of X is renormalized to the unit sphere after every accepted
+    step; a rejected candidate leaves its row and gradient as they were,
+    so one evaluation per iteration serves both.  Returns the final rows
+    and the per-restart objective values.
     """
-    u, v = _theta_split(p.field, p.dim, theta)
-    s0 = 1.0 - 2.0 * tol.phase_tol
-    val, gu, gv = _pair_eval(p.projections, u[None, :], v[None, :],
-                             barrier_weight, s0, want_grad=True)
-    return float(val[0]), _theta_join(p.field, gu[0], gv[0])
-
-
-def _descent(value_grad, value_only, starts, cfg: SearchConfig):
-    """Shared multi-start projected descent with per-restart step control.
-
-    starts is a tuple of (r, n) blocks; each block is renormalized to the
-    unit sphere after every accepted step.  Returns final blocks and the
-    per-restart objective values.
-    """
-    blocks = [b.copy() for b in starts]
-    val = value_only(blocks)
+    X = X.copy()
+    val, grad = value_grad(X)
     step = np.full(val.shape, cfg.step_init)
     stall = 0
     for _ in range(cfg.max_iters):
-        grads = value_grad(blocks)
-        cand = [_unit_rows(b - step[:, None] * g) for b, g in zip(blocks, grads)]
-        cval = value_only(cand)
+        cand = _unit_rows(X - step[:, None] * grad)
+        cval, cgrad = value_grad(cand)
         better = cval < val
-        for b, c in zip(blocks, cand):
-            b[better] = c[better]
+        X[better] = cand[better]
+        grad[better] = cgrad[better]
         val = np.where(better, cval, val)
         step = np.where(better, step * cfg.step_grow, step * cfg.step_shrink)
         step = np.minimum(step, 1e3)
         stall = 0 if np.any(better) else stall + 1
         if np.all(step < 1e-14) or stall >= 60:
             break
-    return blocks, val
+    return X, val
 
 
-def _pair_descent(p: ProjectionFamily, cfg: SearchConfig):
-    rng = spawn_rng(cfg.seed, _STREAM_PAIR_SEARCH)
-    n, r = p.dim, cfg.restarts
-    U = _unit_rows(gaussian_matrix(rng, r, n, p.field).reshape(r, n))
-    V = _unit_rows(gaussian_matrix(rng, r, n, p.field).reshape(r, n))
-    beta = cfg.barrier_weight
-    s0 = 1.0 - 2.0 * cfg.tol.phase_tol
-    projs = p.projections
+def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarray:
+    """Drive a near-non-spanning point onto the zero set by Gauss-Newton.
 
-    def value_only(blocks):
-        return _pair_eval(projs, blocks[0], blocks[1], beta, s0, want_grad=False)[0]
-
-    def value_grad(blocks):
-        _, gu, gv = _pair_eval(projs, blocks[0], blocks[1], beta, s0, want_grad=True)
-        return gu, gv
-
-    (U, V), val = _descent(value_grad, value_only, (U, V), cfg)
-    return U, V, val
-
-
-def _gn_polish_pair(p: ProjectionFamily, u, v, iters: int = 40):
-    """Damped Gauss-Newton on the measurement mismatches alone.
-
-    Runs unconstrained in the flat pair coordinates; the caller rescales
-    and re-verifies afterwards.  The phase gap is left to look after
-    itself: near a genuine witness the mismatch residuals vanish without
-    moving the pair appreciably.
+    Solves the bilinear system w* A_j x = 0 (j = 1..k) for unit x and w,
+    starting from the left singular vector w of A(x) for sigma_min.  The
+    system is complex-linear in (dx, conj(dw)), so each step is one small
+    least-squares solve, and the minimum-norm step converges
+    quadratically onto a nearby solution; exact alternating minimization
+    only crawls along curved zero sets such as the lifted complex ones.
+    Stops at the first step that fails to shrink the residual and returns
+    the best point seen.
     """
-    projs = p.projections
-    u, v = u.copy(), v.copy()
-
-    def resid(u_, v_):
-        return measurements(p, u_) - measurements(p, v_)
-
-    r = resid(u, v)
-    for _ in range(iters):
-        sq = float(r @ r)
-        if sq == 0.0:
-            break
-        ju = 2.0 * np.einsum("mij,j->mi", projs, u)
-        jv = -2.0 * np.einsum("mij,j->mi", projs, v)
-        if p.field is Field.COMPLEX:
-            jac = np.concatenate([ju.real, ju.imag, jv.real, jv.imag], axis=1)
-        else:
-            jac = np.concatenate([ju, jv], axis=1)
-        delta, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        t = 1.0
-        improved = False
-        for _ in range(8):
-            theta = _theta_join(p.field, u, v) - t * delta
-            u_try, v_try = _theta_split(p.field, p.dim, theta)
-            r_try = resid(u_try, v_try)
-            if float(r_try @ r_try) < sq:
-                u, v, r = u_try, v_try, r_try
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return u, v
-
-
-# ---------------------------------------------------------------------------
-# spanning search
-
-def _sigma_eval(projs, X, want_grad):
-    """sigma_min of the stacked images A(x) = [P_1 x ... P_m x], batched."""
-    a = np.einsum("mij,rj->rim", projs, X)
-    if not want_grad:
-        s = np.linalg.svd(a, compute_uv=False)
-        return s[:, -1], None
-    uu, s, vh = np.linalg.svd(a, full_matrices=False)
-    w = uu[:, :, -1]
-    zbar = vh[:, -1, :]
-    imgs_w = np.einsum("mij,rj->rmi", projs, w)
-    g = np.einsum("rm,rmi->ri", zbar, imgs_w)
-    return s[:, -1], g
-
-
-def _alternate_point(p: ProjectionFamily, x: np.ndarray, rounds: int = 60) -> np.ndarray:
-    """Polish a near-non-spanning point by exact alternating minimization.
-
-    Works on F(w, x) = ||A(x)* w|| = (sum_j |<w, P_j x>|^2)^(1/2), which
-    hits zero exactly when some unit w is orthogonal to every image.
-    Both half-steps are small exact SVDs (best w for fixed x is the left
-    singular vector of A(x) for sigma_min; best x for fixed w is the
-    right null direction of the stacked rows (P_j w)*), each monotone in
-    F, so sigma_min is driven to its local floor fast.
-    """
-    projs = p.projections
+    d = ops.shape[1]
     x = x / np.linalg.norm(x)
-    a = image_matrix(p, x)
-    uu, s, _ = np.linalg.svd(a, full_matrices=False)
-    w = uu[:, -1]
-    best = s[-1]
+    w = np.linalg.svd((ops @ x).T)[0][:, -1]
+    best, best_x = np.inf, x
     for _ in range(rounds):
-        rows = np.conj(projs @ w)  # row j is (P_j w)*
-        _, _, vh = np.linalg.svd(rows, full_matrices=False)
-        x = vh[-1, :].conj()
-        a = image_matrix(p, x)
-        uu, s, _ = np.linalg.svd(a, full_matrices=False)
-        w = uu[:, -1]
-        if s[-1] >= best * (1.0 - 1e-12):
+        a = ops @ x  # row j is A_j x
+        f = a @ w.conj()
+        res = float(np.linalg.norm(f))
+        if res >= best:
             break
-        best = s[-1]
-    return x
-
-
-def _spanning_search(p: ProjectionFamily, cfg: SearchConfig) -> np.ndarray | None:
-    """Look for a nonzero x whose images fail to span; None if not found."""
-    rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
-    n = p.dim
-    # generic spot checks catch families that fail spanning everywhere
-    for _ in range(4):
-        x = gaussian_matrix(rng, n, 1, p.field)[:, 0]
+        best, best_x = res, x
+        jac = np.concatenate([w.conj() @ ops, a], axis=1)
+        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        x = x + step[:d]
         x /= np.linalg.norm(x)
-        if not spanning_at(p, x, cfg.tol).spans:
-            return x
-    if p.size < n:
-        return None  # unreachable: fewer than n images never span, spot check caught it
-    projs = p.projections
+        w = w + step[d:].conj()
+        w /= np.linalg.norm(w)
+    return best_x
+
+
+def _orthogonal_direction(ops: np.ndarray, x: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """Unit w orthogonal to every A_j x when those images fail to span, else None."""
+    a = (ops @ x).T
+    if image_rank(a, tol) == a.shape[0]:
+        return None
+    # full left basis: with fewer images than dimensions the null
+    # directions are the columns past the last singular value
+    return np.linalg.svd(a)[0][:, -1]
+
+
+def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
+    """Yield (x, w): unit points whose images [A_1 x ... A_k x] fail to span.
+
+    w is a unit vector orthogonal to every A_j x.  Candidates come from
+    four generic spot checks, then from a multi-start descent on
+    sigma_min whose best endpoints are polished by Gauss-Newton.  With
+    fewer operators than dimensions no point spans, so the spot checks
+    are all there is.  Callers take the first candidate they accept.
+    """
+    rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
+    field = Field.infer(ops)
+    k, d = ops.shape[0], ops.shape[1]
+    for _ in range(4):
+        x = gaussian_matrix(rng, d, 1, field)[:, 0]
+        x /= np.linalg.norm(x)
+        w = _orthogonal_direction(ops, x, cfg.tol)
+        if w is not None:
+            yield x, w
+    if k < d:
+        return
     r = cfg.restarts
-    X = _unit_rows(gaussian_matrix(rng, r, n, p.field).reshape(r, n))
+    X = _unit_rows(gaussian_matrix(rng, r, d, field).reshape(r, d))
+    X, val = _descent(lambda X_: _sigma_eval(ops, X_), X, cfg)
+    for idx in np.argsort(val, kind="stable")[:8]:
+        x = _polish_point(ops, X[idx])
+        w = _orthogonal_direction(ops, x, cfg.tol)
+        if w is not None:
+            yield x, w
 
-    def value_only(blocks):
-        return _sigma_eval(projs, blocks[0], want_grad=False)[0]
 
-    def value_grad(blocks):
-        return (_sigma_eval(projs, blocks[0], want_grad=True)[1],)
+def _lifted_stack(p: ProjectionFamily) -> np.ndarray:
+    """Operators whose non-spanning points are exactly the witness points.
 
-    (X,), val = _descent(value_grad, value_only, (X,), cfg)
-    order = np.argsort(val, kind="stable")
-    for idx in order[:8]:
-        x = _alternate_point(p, X[idx])
-        if not spanning_at(p, x, cfg.tol).spans:
-            return x
-    return None
+    Over R^n that is the projections themselves.  Over C^n the stack acts
+    on R^2n: each P = R + iS becomes [[R, -S], [S, R]] and multiplication
+    by i, J = [[0, -I], [I, 0]], is appended.
+    """
+    if p.field is Field.REAL:
+        return p.projections
+    re, im = p.projections.real, p.projections.imag
+    eye, zero = np.eye(p.dim), np.zeros((p.dim, p.dim))
+    j = np.block([[zero, -eye], [eye, zero]])
+    return np.concatenate([np.block([[re, -im], [im, re]]), j[None]])
 
 
 def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
@@ -495,17 +388,8 @@ def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> 
     """
     cfg = cfg or SearchConfig()
     if p.field is Field.REAL and all(r == 1 for r in p.ranks):
-        verdict = decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol, seed=cfg.seed)
-        if verdict.status is Status.CERTIFIED_HOLDS:
-            return verdict
-        w = verdict.partition
-        f = rank1_reduction(p, cfg.tol)
-        side = f.vectors[:, list(w.side_I)] if w.side_I else None
-        x = orthogonal_complement_point(side, cfg.tol, seed=cfg.seed,
-                                        field=p.field, dim=p.dim)
-        return Verdict(Status.CERTIFIED_FAILS, method="complement-property",
-                       witness=verdict.witness, partition=w, point=x)
-    x = _spanning_search(p, cfg)
+        return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol, seed=cfg.seed)
+    x = next((x for x, _ in _spanning_search(p.projections, cfg)), None)
     if x is None:
         return Verdict(Status.NO_WITNESS_FOUND, method="spanning-search")
     witness = pr_witness_from_nonspanning(p, x, cfg.tol, seed=cfg.seed)
@@ -515,43 +399,31 @@ def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> 
 def pr_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
     """Search for a witness pair breaking phase retrieval; never certifies.
 
-    Stage one reuses the spanning search: any non-spanning point converts
-    directly into a witness.  For complex rank-1 families with m < n^2
-    the Hermitian nullspace construction is tried next; it hits witness
-    orbits that descent misses because the phase-equal pairs u = cv form
-    a huge zero set of the mismatch and soak up nearly every restart.
-    The last stage descends on the measurement mismatch over pairs,
-    polishes the best candidates with Gauss-Newton, and keeps only pairs
-    that re-verify.  This deliberately does not consult the exact
-    complement-property decision, so the two can be played against each
-    other as independent procedures.
+    A pair (u, v) has equal measurements exactly when x = (u+v)/2 and
+    w = (u-v)/2 satisfy Re <P_i x, w> = 0 for every i.  Over R^n that says
+    the images {P_i x} fail to span, so by the paper's theorem the
+    spanning search is the whole search.  Over C^n it says the realified
+    images fail to span R^2n; adding i x to them (Im <x, w> = 0) rules
+    out the trivial solution w = i x and makes the criterion exact: phase
+    retrieval fails iff some x makes [P_1 x ... P_m x, i x] real-rank
+    deficient (Bandeira-Cahill-Mixon-Nelson 2014, extended to
+    projections by Edidin 2017).  Each candidate (x, w) of the spanning
+    search on that lifted stack becomes the pair (x+w, x-w), which is
+    kept only if it re-verifies.  This deliberately does not consult the
+    exact complement-property decision, so the two can be played against
+    each other as independent procedures.
     """
     cfg = cfg or SearchConfig()
-    x = _spanning_search(p, cfg)
-    if x is not None:
-        witness = pr_witness_from_nonspanning(p, x, cfg.tol, seed=cfg.seed)
-        return Verdict(Status.FALSIFIED, method="nonspanning-construction",
-                       witness=witness, point=x)
-    if (p.field is Field.COMPLEX and p.size < p.dim ** 2
-            and all(r == 1 for r in p.ranks)):
-        witness = hermitian_nullspace_witness(rank1_reduction(p, cfg.tol), cfg.tol,
-                                              seed=cfg.seed)
+    n = p.dim
+    for x, w in _spanning_search(_lifted_stack(p), cfg):
+        if p.field is Field.COMPLEX:
+            x, w = x[:n] + 1j * x[n:], w[:n] + 1j * w[n:]
+        witness = _certified_pair(p, x + w, x - w, cfg.tol)
         if witness is not None:
-            return Verdict(Status.FALSIFIED, method="hermitian-nullspace",
-                           witness=witness)
-    U, V, val = _pair_descent(p, cfg)
-    order = np.argsort(val, kind="stable")
-    for idx in order[: min(12, len(order))]:
-        u, v = _gn_polish_pair(p, U[idx], V[idx])
-        try:
-            u, v = joint_normalize(u, v)
-            check = verify_pr_witness(p, u, v, cfg.tol)
-        except ValueError:
-            continue
-        if check.valid:
-            witness = PrWitness(u, v, check.max_mismatch, check.phase_gap)
-            return Verdict(Status.FALSIFIED, method="pair-search", witness=witness)
-    return Verdict(Status.NO_WITNESS_FOUND, method="pair-search")
+            point = x if p.field is Field.REAL else None
+            return Verdict(Status.FALSIFIED, method="lifted-spanning",
+                           witness=witness, point=point)
+    return Verdict(Status.NO_WITNESS_FOUND, method="lifted-spanning")
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +516,68 @@ def _indefinite_truncation(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float
     return vecs[:, -1], vecs[:, 0], float(lam[-1]), float(lam[0])
 
 
+def _theta_split(field: Field, n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    if field is Field.COMPLEX:
+        if theta.size != 4 * n:
+            raise ValueError(f"theta must have length {4 * n}")
+        u = theta[:n] + 1j * theta[n:2 * n]
+        v = theta[2 * n:3 * n] + 1j * theta[3 * n:]
+    else:
+        if theta.size != 2 * n:
+            raise ValueError(f"theta must have length {2 * n}")
+        u, v = theta[:n].copy(), theta[n:].copy()
+    return u, v
+
+
+def _theta_join(field: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    if field is Field.COMPLEX:
+        return np.concatenate([u.real, u.imag, v.real, v.imag])
+    return np.concatenate([u, v])
+
+
+def _gn_polish_pair(p: ProjectionFamily, u, v, iters: int = 40):
+    """Damped Gauss-Newton on the measurement mismatches alone.
+
+    Runs unconstrained in the flat pair coordinates; the caller rescales
+    and re-verifies afterwards.  The phase gap is left to look after
+    itself: near a genuine witness the mismatch residuals vanish without
+    moving the pair appreciably.
+    """
+    projs = p.projections
+    u, v = u.copy(), v.copy()
+
+    def resid(u_, v_):
+        return measurements(p, u_) - measurements(p, v_)
+
+    r = resid(u, v)
+    for _ in range(iters):
+        sq = float(r @ r)
+        if sq == 0.0:
+            break
+        ju = 2.0 * np.einsum("mij,j->mi", projs, u)
+        jv = -2.0 * np.einsum("mij,j->mi", projs, v)
+        if p.field is Field.COMPLEX:
+            jac = np.concatenate([ju.real, ju.imag, jv.real, jv.imag], axis=1)
+        else:
+            jac = np.concatenate([ju, jv], axis=1)
+        delta, *_ = np.linalg.lstsq(jac, r, rcond=None)
+        t = 1.0
+        improved = False
+        for _ in range(8):
+            theta = _theta_join(p.field, u, v) - t * delta
+            u_try, v_try = _theta_split(p.field, p.dim, theta)
+            r_try = resid(u_try, v_try)
+            if float(r_try @ r_try) < sq:
+                u, v, r = u_try, v_try, r_try
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return u, v
+
+
 def _witness_from_q(f: Frame, p: ProjectionFamily, q: np.ndarray,
                     tol: Tolerances) -> PrWitness | None:
     parts = _indefinite_truncation(q)
@@ -653,14 +587,7 @@ def _witness_from_q(f: Frame, p: ProjectionFamily, q: np.ndarray,
     u = math.sqrt(lam_pos) * e_pos
     v = math.sqrt(-lam_neg) * e_neg
     u, v = _gn_polish_pair(p, u, v)
-    try:
-        u, v = joint_normalize(u, v)
-        check = verify_pr_witness(p, u, v, tol)
-    except ValueError:
-        return None
-    if not check.valid:
-        return None
-    return PrWitness(u, v, check.max_mismatch, check.phase_gap)
+    return _certified_pair(p, u, v, tol)
 
 
 def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL, seed: int = 0,
@@ -787,8 +714,6 @@ def gen_full_spark(n: int, m: int, field: Field, tol: Tolerances = DEFAULT_TOL) 
         nodes = np.arange(m, dtype=np.float64)
     cols = np.vander(nodes, N=n, increasing=True).T
     f = Frame(cols, field)
-    from .errors import CapacityError
-
     try:
         bad = full_spark(f, tol)
     except CapacityError:
@@ -801,9 +726,6 @@ def gen_full_spark(n: int, m: int, field: Field, tol: Tolerances = DEFAULT_TOL) 
 def gen_random_projections(n: int, ranks, field: Field, seed: int = 0,
                            tol: Tolerances = DEFAULT_TOL) -> ProjectionFamily:
     """Seeded family of projections onto random subspaces of given ranks."""
-    from .frames import Subspace
-    from .linalg import orthonormalize
-
     ranks = [int(r) for r in ranks]
     if not ranks:
         raise ValueError("need at least one rank")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import os
 import sys
 import time
@@ -217,8 +218,6 @@ def _cmd_gen(args, argv, started) -> int:
         serialize.save_json(args.out, obj)
         print(f"wrote {args.out}")
     else:
-        import json
-
         print(json.dumps(obj, indent=2, sort_keys=True))
     return code
 

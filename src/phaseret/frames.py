@@ -316,14 +316,18 @@ def spanning_at(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL) -> Spanni
     nx = np.linalg.norm(x)
     if nx <= tol.proj_tol:
         raise ValueError("spanning test point must be nonzero")
-    a = image_matrix(p, x / nx)
+    rank = image_rank(image_matrix(p, x / nx), tol)
+    return SpanningReport(spans=rank == p.dim, rank=rank)
+
+
+def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank of the images of a unit point, stacked as columns."""
     s = np.linalg.svd(a, compute_uv=False)
     # images of a unit point never exceed unit scale, so anchor the noise
     # floor at 1: when every image is float dust the rank is 0, not
     # whatever the dust happens to span
     cutoff = tol.rank_rtol * max(float(s[0]) if s.size else 0.0, 1.0) * max(a.shape)
-    rank = int(np.count_nonzero(s > cutoff))
-    return SpanningReport(spans=rank == p.dim, rank=rank)
+    return int(np.count_nonzero(s > cutoff))
 
 
 def onb_union(p: ProjectionFamily, seed: int = 0) -> Frame:

@@ -12,7 +12,6 @@ Stream codes used by the library (paths are (root, code, *indices)):
     2  basis rotations when forming a basis union
     3  random subspace generation (index: subspace position)
     4  multistart descent starting points
-    5  pair-search starting points
     6  nullspace witness search starting points
     7  survey trial frames (indices: n, m, trial)
     8  counterexample spanning spot checks

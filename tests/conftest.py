@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from phaseret import Field
+from phaseret.certify import _sigma_eval
 
 
 def brute_complement_property(vectors: np.ndarray) -> bool:
@@ -71,6 +72,21 @@ def random_projection_stack(rng: np.random.Generator, n: int, ranks, field: Fiel
         q, _ = np.linalg.qr(g)
         mats.append(q @ q.conj().T)
     return np.stack(mats)
+
+
+def stack_sigma_and_grad(ops: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The spanning search's sigma_min and gradient at one point, in flat real
+    coordinates: theta is x for a real stack and (Re x, Im x) for a complex one.
+
+    Not an oracle: it calls the library's objective so that tests can hold
+    its gradient against finite differences.
+    """
+    cplx = np.iscomplexobj(ops)
+    d = ops.shape[1]
+    x = theta[:d] + 1j * theta[d:] if cplx else theta
+    s, g = _sigma_eval(ops, x[None, :])
+    g = np.concatenate([g[0].real, g[0].imag]) if cplx else g[0]
+    return float(s[0]), g
 
 
 @pytest.fixture

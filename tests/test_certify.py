@@ -12,7 +12,6 @@ from phaseret import (
     Status,
     complex_counterexample,
     decide_real_rank1,
-    falsifier_objective,
     full_spark,
     gen_full_spark,
     gen_random_frame,
@@ -27,9 +26,14 @@ from phaseret import (
     spanning_falsifier,
     verify_pr_witness,
 )
-from phaseret.certify import hermitian_coords, hermitian_from_coords, trace_constraint_matrix
+from phaseret.certify import (
+    _lifted_stack,
+    hermitian_coords,
+    hermitian_from_coords,
+    trace_constraint_matrix,
+)
 
-from conftest import random_projection_stack, random_unit_columns
+from conftest import random_projection_stack, random_unit_columns, stack_sigma_and_grad
 
 AXES = Frame(np.eye(2), Field.REAL)
 MERCEDES = Frame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), Field.REAL)
@@ -186,7 +190,7 @@ def test_pr_falsifier_real_cp_failure():
     p = ProjectionFamily.from_frame(AXES)
     v = pr_falsifier(p, SearchConfig(restarts=8, seed=0))
     assert v.status is Status.FALSIFIED
-    assert v.method == "nonspanning-construction"
+    assert v.method == "lifted-spanning"
     assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
 
 
@@ -197,12 +201,24 @@ def test_pr_falsifier_inconclusive_when_pr_holds():
 
 
 def test_pr_falsifier_complex_rank1_uses_hermitian_stage():
+    # the lifted search finds the rank-2 Hermitian nullspace element
+    # uu* - vv* = 2(xw* + wx*) as the non-spanning pair (x, w)
     f = gen_random_frame(2, 3, Field.COMPLEX, seed=11)
     p = ProjectionFamily.from_frame(f)
     v = pr_falsifier(p, SearchConfig(restarts=8, seed=0))
-    assert v.status is Status.FALSIFIED and v.method == "hermitian-nullspace"
+    assert v.status is Status.FALSIFIED and v.method == "lifted-spanning"
     chk = verify_pr_witness(p, v.witness.u, v.witness.v)
     assert chk.valid and chk.max_mismatch < 1e-9
+
+
+def test_pr_falsifier_complex_n4_m11_finds_verified_witness():
+    f = gen_random_frame(4, 11, Field.COMPLEX, seed=0)
+    p = ProjectionFamily.from_frame(f)
+    v = pr_falsifier(p, SearchConfig(restarts=16, seed=0))
+    assert v.status is Status.FALSIFIED and v.method == "lifted-spanning"
+    assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+    # the lifted point need not be a point where the complex images fail to span
+    assert v.point is None
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +337,7 @@ def test_gen_random_frame_seeded():
 
 
 # ---------------------------------------------------------------------------
-# search objective
+# spanning-search objective
 
 def fd_gradient(fn, theta, h=1e-6):
     g = np.zeros_like(theta)
@@ -333,26 +349,20 @@ def fd_gradient(fn, theta, h=1e-6):
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-def test_falsifier_objective_gradient(field):
+def test_sigma_gradient_on_both_stacks(field):
     rng = np.random.default_rng(42)
     cols = random_unit_columns(rng, 3, 4, field)
     p = ProjectionFamily.from_frame(Frame(cols, field))
     width = 2 * 3 if field is Field.REAL else 4 * 3
     for _ in range(5):
         theta = rng.standard_normal(width)
-        val, grad = falsifier_objective(p, theta)
-        num = fd_gradient(lambda t: falsifier_objective(p, t)[0], theta)
-        assert val >= 0.0
-        np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-7)
-
-
-def test_falsifier_objective_barrier_active():
-    p = ProjectionFamily.from_frame(AXES)
-    u = np.array([1.0, 0.5])
-    theta = np.concatenate([u, u * (1 + 1e-9)])  # nearly phase-equal pair
-    val_on, _ = falsifier_objective(p, theta, barrier_weight=1.0)
-    val_off, _ = falsifier_objective(p, theta, barrier_weight=0.0)
-    assert val_on > val_off  # hinge charges for collapsing onto u = cv
+        # first half: a point for the projections, second half: for the lifted stack
+        for ops, t in ((p.projections, theta[:width // 2]),
+                       (_lifted_stack(p), theta[width // 2:])):
+            val, grad = stack_sigma_and_grad(ops, t)
+            num = fd_gradient(lambda s: stack_sigma_and_grad(ops, s)[0], t)
+            assert val >= 0.0
+            np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-7)
 
 
 def test_search_config_validation():

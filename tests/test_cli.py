@@ -79,10 +79,23 @@ def test_falsify_spanning_mode_certifies(tmp_path, capsys):
 
 
 def test_falsify_complex_hermitian_route(tmp_path, capsys):
+    # the lifted search reaches the Hermitian witness through [P_i x, ix]
     f = pr.gen_random_frame(2, 3, pr.Field.COMPLEX, seed=3)
     code = main(["falsify", write_frame(tmp_path, f), "--restarts", "8"])
     assert code == 1
-    assert "hermitian-nullspace" in capsys.readouterr().out
+    assert "lifted-spanning" in capsys.readouterr().out
+
+
+def test_falsify_loose_rank_tolerance_is_inconclusive(tmp_path, capsys):
+    # at --tol-rank 1e-2 the first two vectors count as one line, so the search
+    # meets points that fail to span by that rule yet carry no witness within
+    # the witness tolerance: an inconclusive search, not an input error
+    f = pr.Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-3, 1.0]]), pr.Field.REAL)
+    code = main(["falsify", write_frame(tmp_path, f), "--tol-rank", "1e-2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert "no-witness-found" in captured.out
 
 
 def test_falsify_report_out(tmp_path):
