@@ -12,6 +12,7 @@ the measurement map does not determine vectors up to phase.
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
@@ -216,7 +217,10 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
     projections.  A failing bipartition is converted into a verified
     witness pair: x orthogonal to side I, y orthogonal to side I^c, pair
     (x+y, x-y).  The verdict's point is x, where the images fail to span.
-    No complex analogue exists; complex input is rejected.
+    Under a loose rank_rtol a side can count as rank-deficient without
+    any direction orthogonal to it within proj_tol; the failure is still
+    certified, and the verdict then carries its partition but no witness
+    or point.  No complex analogue exists; complex input is rejected.
     """
     if f.field is not Field.REAL:
         raise FieldError("exact complement-property decision applies to real frames only")
@@ -228,15 +232,18 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
     side_i = f.vectors[:, list(w.side_I)] if w.side_I else None
     side_ic = f.vectors[:, list(w.side_Ic)] if w.side_Ic else None
     for attempt in range(16):
-        x = orthogonal_complement_point(side_i, tol, seed=seed + attempt,
-                                        field=f.field, dim=n)
-        y = orthogonal_complement_point(side_ic, tol, seed=seed + attempt + 31,
-                                        field=f.field, dim=n)
+        try:
+            x = orthogonal_complement_point(side_i, tol, seed=seed + attempt,
+                                            field=f.field, dim=n)
+            y = orthogonal_complement_point(side_ic, tol, seed=seed + attempt + 31,
+                                            field=f.field, dim=n)
+        except ValueError:
+            break
         witness = _certified_pair(p, x + y, x - y, tol)
         if witness is not None:
             return Verdict(Status.CERTIFIED_FAILS, method="complement-property",
                            witness=witness, partition=w, point=x)
-    raise RuntimeError("failed to convert a complement-property failure into a pair witness")
+    return Verdict(Status.CERTIFIED_FAILS, method="complement-property", partition=w)
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +270,55 @@ def _sigma_eval(ops, X):
     return s[:, -1], g
 
 
-def _descent(value_grad, X, cfg: SearchConfig):
+_FREEZE_WINDOW = 25
+_FREEZE_RTOL = 1e-3
+
+
+def _descent(value_grad, X, cfg: SearchConfig, solved):
     """Multi-start projected descent with per-restart step control.
 
     Each row of X is renormalized to the unit sphere after every accepted
     step; a rejected candidate leaves its row and gradient as they were,
-    so one evaluation per iteration serves both.  Returns the final rows
-    and the per-restart objective values.
+    so one evaluation per iteration serves both.  Yields (rows, values):
+    first as soon as solved(x) holds for the best row, since that row may
+    already answer the search, and again when the descent ends.  A caller
+    that takes its answer from the first yield never resumes the descent;
+    one that does not (a loose rank rule can call a point solved long
+    before a witness is near) gets the rest of the budget.  cfg.max_iters
+    bounds the iterations.  A restart freezes once its value fell by less
+    than a relative _FREEZE_RTOL over the last _FREEZE_WINDOW iterations,
+    or once its step underflowed; frozen rows leave the batch, and the
+    descent ends when none is live.
     """
     X = X.copy()
     val, grad = value_grad(X)
     step = np.full(val.shape, cfg.step_init)
-    stall = 0
+    live = np.arange(val.size)
+    history = collections.deque([val.copy()], maxlen=_FREEZE_WINDOW + 1)
+    best, offered = np.inf, False
     for _ in range(cfg.max_iters):
-        cand = _unit_rows(X - step[:, None] * grad)
+        if not offered and val.min() < best:
+            best = val.min()
+            if solved(X[np.argmin(val)]):
+                offered = True
+                yield X.copy(), val.copy()
+        cand = _unit_rows(X[live] - step[live, None] * grad[live])
         cval, cgrad = value_grad(cand)
-        better = cval < val
-        X[better] = cand[better]
-        grad[better] = cgrad[better]
-        val = np.where(better, cval, val)
-        step = np.where(better, step * cfg.step_grow, step * cfg.step_shrink)
-        step = np.minimum(step, 1e3)
-        stall = 0 if np.any(better) else stall + 1
-        if np.all(step < 1e-14) or stall >= 60:
+        better = cval < val[live]
+        moved = live[better]
+        X[moved] = cand[better]
+        grad[moved] = cgrad[better]
+        val[moved] = cval[better]
+        step[live] = np.minimum(np.where(better, step[live] * cfg.step_grow,
+                                         step[live] * cfg.step_shrink), 1e3)
+        history.append(val.copy())
+        frozen = step[live] < 1e-14
+        if len(history) > _FREEZE_WINDOW:
+            frozen |= val[live] >= (1.0 - _FREEZE_RTOL) * history[0][live]
+        live = live[~frozen]
+        if live.size == 0:
             break
-    return X, val
+    yield X, val
 
 
 def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarray:
@@ -337,9 +368,13 @@ def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
 
     w is a unit vector orthogonal to every A_j x.  Candidates come from
     four generic spot checks, then from a multi-start descent on
-    sigma_min whose best endpoints are polished by Gauss-Newton.  With
-    fewer operators than dimensions no point spans, so the spot checks
-    are all there is.  Callers take the first candidate they accept.
+    sigma_min whose best endpoints are polished by Gauss-Newton.  The
+    descent runs at most cfg.max_iters iterations: it stops once its best
+    point fails to span by the rank rule of _orthogonal_direction, and
+    restarts that stop improving freeze on their own (see _descent).
+    With fewer operators than dimensions no point spans, so the spot
+    checks are all there is.  Callers take the first candidate they
+    accept.
     """
     rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
     field = Field.infer(ops)
@@ -354,12 +389,13 @@ def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
         return
     r = cfg.restarts
     X = _unit_rows(gaussian_matrix(rng, r, d, field).reshape(r, d))
-    X, val = _descent(lambda X_: _sigma_eval(ops, X_), X, cfg)
-    for idx in np.argsort(val, kind="stable")[:8]:
-        x = _polish_point(ops, X[idx])
-        w = _orthogonal_direction(ops, x, cfg.tol)
-        if w is not None:
-            yield x, w
+    for X, val in _descent(lambda X_: _sigma_eval(ops, X_), X, cfg,
+                           lambda x: _orthogonal_direction(ops, x, cfg.tol) is not None):
+        for idx in np.argsort(val, kind="stable")[:8]:
+            x = _polish_point(ops, X[idx])
+            w = _orthogonal_direction(ops, x, cfg.tol)
+            if w is not None:
+                yield x, w
 
 
 def _lifted_stack(p: ProjectionFamily) -> np.ndarray:
@@ -381,19 +417,21 @@ def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> 
     """Hunt for a point where the images {P_i x} fail to span.
 
     Real rank-1 families get an exact verdict through the frame reduction
-    and the complement property.  Everything else is search: a found
-    point is re-verified and returned with its derived witness pair;
-    exhausting the budget is reported as inconclusive, never as proof
-    that spanning holds.
+    and the complement property.  Everything else is search: each found
+    point x comes with a unit w orthogonal to every P_i x, which makes
+    (x+w, x-w) a witness pair (see pr_witness_from_nonspanning); the
+    first pair that re-verifies is returned with its point.  Exhausting
+    the candidates is reported as inconclusive, never as proof that
+    spanning holds.
     """
     cfg = cfg or SearchConfig()
     if p.field is Field.REAL and all(r == 1 for r in p.ranks):
         return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol, seed=cfg.seed)
-    x = next((x for x, _ in _spanning_search(p.projections, cfg)), None)
-    if x is None:
-        return Verdict(Status.NO_WITNESS_FOUND, method="spanning-search")
-    witness = pr_witness_from_nonspanning(p, x, cfg.tol, seed=cfg.seed)
-    return Verdict(Status.FALSIFIED, method="spanning-search", witness=witness, point=x)
+    for x, w in _spanning_search(p.projections, cfg):
+        witness = _certified_pair(p, x + w, x - w, cfg.tol)
+        if witness is not None:
+            return Verdict(Status.FALSIFIED, method="spanning-search", witness=witness, point=x)
+    return Verdict(Status.NO_WITNESS_FOUND, method="spanning-search")
 
 
 def pr_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
@@ -438,25 +476,22 @@ def hermitian_coords(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q)
     n = q.shape[0]
-    parts = [np.diagonal(q).real]
-    for j in range(n):
-        for k in range(j + 1, n):
-            parts.append([q[j, k].real, q[j, k].imag])
-    return np.concatenate([np.atleast_1d(np.asarray(x, dtype=np.float64)) for x in parts])
+    upper = q[np.triu_indices(n, 1)]
+    pairs = np.stack([upper.real, upper.imag], axis=-1)
+    return np.concatenate([np.diagonal(q).real, pairs.reshape(-1)]).astype(np.float64)
 
 
 def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    if c.size != n * n:
+    """Inverse of hermitian_coords; leading axes of c are a batch."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.shape[-1:] != (n * n,):
         raise ValueError(f"need {n * n} coordinates for Hermitian {n}x{n}")
-    q = np.zeros((n, n), dtype=np.complex128)
-    q[np.diag_indices(n)] = c[:n]
-    pos = n
-    for j in range(n):
-        for k in range(j + 1, n):
-            q[j, k] = c[pos] + 1j * c[pos + 1]
-            q[k, j] = c[pos] - 1j * c[pos + 1]
-            pos += 2
+    q = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
+    j, k = np.triu_indices(n, 1)
+    upper = c[..., n::2] + 1j * c[..., n + 1::2]
+    q[..., np.arange(n), np.arange(n)] = c[..., :n]
+    q[..., j, k] = upper
+    q[..., k, j] = upper.conj()
     return q
 
 
@@ -467,17 +502,13 @@ def trace_constraint_matrix(f: Frame) -> np.ndarray:
     + sum_{j<k} (2 Re(conj(x_j) x_k) Re Q_jk - 2 Im(conj(x_j) x_k) Im Q_jk).
     """
     n, m = f.dim, f.size
-    rows = np.zeros((m, n * n))
-    for i in range(m):
-        x = f.vectors[:, i]
-        rows[i, :n] = np.abs(x) ** 2
-        pos = n
-        for j in range(n):
-            for k in range(j + 1, n):
-                w = np.conj(x[j]) * x[k]
-                rows[i, pos] = 2.0 * w.real
-                rows[i, pos + 1] = -2.0 * w.imag
-                pos += 2
+    x = f.vectors.T
+    j, k = np.triu_indices(n, 1)
+    w = np.conj(x[:, j]) * x[:, k]
+    rows = np.empty((m, n * n))
+    rows[:, :n] = np.abs(x) ** 2
+    rows[:, n::2] = 2.0 * w.real
+    rows[:, n + 1::2] = -2.0 * w.imag
     return rows
 
 
@@ -488,8 +519,8 @@ def _iso_scale(n: int) -> np.ndarray:
     return s
 
 
-def _nullspace_matrices(f: Frame, tol: Tolerances) -> list[np.ndarray]:
-    """Frobenius-orthonormal Hermitian basis of the trace-zero nullspace."""
+def _nullspace_matrices(f: Frame, tol: Tolerances) -> np.ndarray:
+    """Frobenius-orthonormal Hermitian basis of the trace-zero nullspace, (d, n, n)."""
     n = f.dim
     rows = trace_constraint_matrix(f)
     scale = _iso_scale(n)
@@ -497,15 +528,14 @@ def _nullspace_matrices(f: Frame, tol: Tolerances) -> list[np.ndarray]:
     _, s, vh = np.linalg.svd(rows_iso, full_matrices=True)
     cutoff = tol.rank_rtol * (s[0] if s.size else 0.0) * max(rows_iso.shape)
     rank = int(np.count_nonzero(s > cutoff))
-    basis = vh[rank:]
-    return [hermitian_from_coords(row / scale, n) for row in basis]
+    return hermitian_from_coords(vh[rank:] / scale, n)
 
 
-def _project_nullspace(q: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for b in basis:
-        out += float(np.sum(b.conj() * q).real) * b
-    return out
+def _project_nullspace(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Frobenius-orthogonal projection of q onto the span of the (d, n, n) basis."""
+    flat = basis.reshape(len(basis), -1)
+    coef = (flat.conj() @ q.reshape(-1)).real
+    return (coef @ flat).reshape(q.shape)
 
 
 def _indefinite_truncation(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float] | None:
@@ -614,16 +644,14 @@ def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL, seed: i
         x = orthogonal_complement_point(f.vectors, tol, seed=seed, field=f.field)
         return pr_witness_from_nonspanning(p, x, tol, seed=seed)
     basis = _nullspace_matrices(f, tol)
-    if not basis:
+    if len(basis) == 0:
         return None
     rng = spawn_rng(seed, _STREAM_NULLSPACE)
     d = len(basis)
+    flat = basis.reshape(d, n * n)
 
     def build(c):
-        q = np.zeros_like(basis[0])
-        for coef, b in zip(c, basis):
-            q += coef * b
-        return q
+        return (c @ flat).reshape(n, n)
 
     if n == 2:
         # any nonzero solution is indefinite here (a semidefinite Q with
@@ -638,22 +666,23 @@ def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL, seed: i
         c = rng.standard_normal(d)
         c /= np.linalg.norm(c)
         step = 0.5
-        val = _third_abs_eig(build(c))
+        q = build(c)
+        val = _third_abs_eig(q)
         # descent on the third-largest absolute eigenvalue over the
         # nullspace sphere, then alternating projections to finish
         for _ in range(iters):
-            g = _third_abs_eig_grad(build(c), basis)
+            g = _third_abs_eig_grad(q, basis)
             c_new = c - step * g
             c_new /= np.linalg.norm(c_new)
-            v_new = _third_abs_eig(build(c_new))
+            q_new = build(c_new)
+            v_new = _third_abs_eig(q_new)
             if v_new < val:
-                c, val, step = c_new, v_new, step * 1.25
+                c, q, val, step = c_new, q_new, v_new, step * 1.25
             else:
                 step *= 0.5
             if step < 1e-12:
                 break
-        q = build(c)
-        q /= np.linalg.norm(q)
+        q = q / np.linalg.norm(q)
         ok = False
         for _ in range(300):
             parts = _indefinite_truncation(q)
@@ -683,13 +712,14 @@ def _third_abs_eig(q: np.ndarray) -> float:
     return float(mags[2]) if mags.size > 2 else 0.0
 
 
-def _third_abs_eig_grad(q: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+def _third_abs_eig_grad(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Gradient of _third_abs_eig(sum_d c_d B_d) in c: sign(lam) e* B_d e."""
     lam, vecs = np.linalg.eigh(q)
     order = np.argsort(np.abs(lam))[::-1]
     t = order[2]
     e = vecs[:, t]
     sign = 1.0 if lam[t] >= 0.0 else -1.0
-    return np.array([sign * float((e.conj() @ (b @ e)).real) for b in basis])
+    return sign * np.einsum("i,dij,j->d", e.conj(), basis, e).real
 
 
 # ---------------------------------------------------------------------------

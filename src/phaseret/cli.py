@@ -326,7 +326,10 @@ def _add_tol_flags(sp) -> None:
 
 def _add_search_flags(sp) -> None:
     sp.add_argument("--restarts", type=int, default=64, help="multi-start restarts")
-    sp.add_argument("--iters", type=int, default=500, help="descent iterations per restart")
+    sp.add_argument("--iters", type=int, default=500,
+                    help="upper bound on descent iterations per restart; the "
+                         "descent stops once its best point fails to span, and "
+                         "a restart that stops improving freezes")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ from phaseret import (
     ProjectionFamily,
     SearchConfig,
     Status,
+    Tolerances,
     complex_counterexample,
     decide_real_rank1,
     full_spark,
@@ -26,8 +27,12 @@ from phaseret import (
     spanning_falsifier,
     verify_pr_witness,
 )
+import phaseret.certify as certify
 from phaseret.certify import (
     _lifted_stack,
+    _nullspace_matrices,
+    _project_nullspace,
+    _third_abs_eig_grad,
     hermitian_coords,
     hermitian_from_coords,
     trace_constraint_matrix,
@@ -159,6 +164,16 @@ def test_decide_capacity():
         decide_real_rank1(Frame(cols, Field.REAL), cap=8)
 
 
+def test_decide_loose_rank_tolerance_keeps_partition_without_witness():
+    # at rank_rtol 1e-2 the first two vectors count as one line, so {1, 2} | {3}
+    # fails; no direction is orthogonal to both within proj_tol, so no pair
+    frame = Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-5, 1.0]]), Field.REAL)
+    v = decide_real_rank1(frame, Tolerances(rank_rtol=1e-2))
+    assert v.status is Status.CERTIFIED_FAILS and v.method == "complement-property"
+    assert v.partition is not None and v.partition.side_I == (0, 1)
+    assert v.witness is None and v.point is None
+
+
 # ---------------------------------------------------------------------------
 # falsifiers
 
@@ -184,6 +199,74 @@ def test_spanning_falsifier_search_path():
     assert v.status is Status.FALSIFIED and v.method == "spanning-search"
     assert spanning_at(p, v.point).spans is False
     assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+
+
+def _two_close_planes_and_one_more(seed: int, angle: float = 1e-3) -> np.ndarray:
+    """Three rank-2 projections in R^3; the second is the first turned by angle."""
+    rng = np.random.default_rng(seed)
+    a = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    k = rng.standard_normal(3)
+    k /= np.linalg.norm(k)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    rot = np.eye(3) + np.sin(angle) * cross + (1.0 - np.cos(angle)) * cross @ cross
+    c = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    return np.stack([q @ q.T for q in (a, rot @ a, c)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spanning_falsifier_loose_rank_tolerance_does_not_raise(seed):
+    # the loose rule calls every point non-spanning long before a pair
+    # verifies; such candidates are skipped, not turned into an error
+    tol = Tolerances(rank_rtol=1e-2)
+    p = ProjectionFamily.from_projections(_two_close_planes_and_one_more(seed), Field.REAL, tol)
+    v = spanning_falsifier(p, SearchConfig(restarts=8, seed=seed, tol=tol))
+    assert v.status in (Status.FALSIFIED, Status.NO_WITNESS_FOUND)
+    if v.status is Status.FALSIFIED:
+        assert verify_pr_witness(p, v.witness.u, v.witness.v, tol).valid
+        assert spanning_at(p, v.point, tol).spans is False
+
+
+class _CountingSigma:
+    """Wraps the descent's objective and records the batch size of every call."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, ops, X):
+        self.batches.append(len(X))
+        return self.inner(ops, X)
+
+
+@pytest.fixture
+def counting_sigma(monkeypatch):
+    counter = _CountingSigma()
+    counter.inner = certify._sigma_eval
+    monkeypatch.setattr(certify, "_sigma_eval", counter)
+    return counter
+
+
+def test_descent_stops_once_best_point_fails_to_span(counting_sigma):
+    # m = 4 < 2n - 1 real vectors: phase retrieval fails
+    p = ProjectionFamily.from_frame(gen_random_frame(3, 4, Field.REAL, seed=1))
+    cfg = SearchConfig(restarts=16, seed=0)
+    v = pr_falsifier(p, cfg)
+    assert v.status is Status.FALSIFIED
+    assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+    # one evaluation before the first iteration, one per iteration after it
+    assert len(counting_sigma.batches) <= cfg.max_iters // 4
+
+
+def test_descent_freezes_every_restart_when_pr_holds(counting_sigma):
+    # m = 5 = 2n - 1 generic real vectors: phase retrieval holds
+    p = ProjectionFamily.from_frame(gen_random_frame(3, 5, Field.REAL, seed=2))
+    cfg = SearchConfig(restarts=16, seed=0)
+    assert pr_falsifier(p, cfg).status is Status.NO_WITNESS_FOUND
+    batches = counting_sigma.batches
+    assert len(batches) <= cfg.max_iters // 4
+    assert batches[0] == cfg.restarts
+    # frozen restarts leave the batch and never come back
+    assert all(b <= a for a, b in zip(batches, batches[1:]))
+    assert batches[-1] < cfg.restarts
 
 
 def test_pr_falsifier_real_cp_failure():
@@ -239,6 +322,59 @@ def test_trace_constraints_mercedes_hand_solution():
     q = np.array([[0.0, 1j], [-1j, 0.0]])
     np.testing.assert_allclose(a @ hermitian_coords(q), 0.0, atol=1e-12)
     assert np.linalg.matrix_rank(a) == 3
+
+
+def test_hermitian_coords_layout_is_row_major():
+    q = np.array([[7.0, 1 + 2j, 3 + 4j], [1 - 2j, 8.0, 5 + 6j], [3 - 4j, 5 - 6j, 9.0]])
+    np.testing.assert_array_equal(hermitian_coords(q), [7, 8, 9, 1, 2, 3, 4, 5, 6])
+
+
+def _random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return g + g.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_trace_constraints_match_quadratic_forms(n):
+    rng = np.random.default_rng(100 + n)
+    cols = random_unit_columns(rng, n, 2 * n + 1, Field.COMPLEX)
+    rows = trace_constraint_matrix(Frame(cols, Field.COMPLEX))
+    for _ in range(3):
+        q = _random_hermitian(rng, n)
+        # tr(Q x x*) = x* Q x, column by column
+        direct = np.array([np.vdot(x, q @ x).real for x in cols.T])
+        np.testing.assert_allclose(rows @ hermitian_coords(q), direct, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hermitian_from_coords(hermitian_coords(q), n), q,
+                                   rtol=0, atol=1e-15)
+
+
+def test_hermitian_from_coords_batches_leading_axes():
+    rng = np.random.default_rng(3)
+    qs = [_random_hermitian(rng, 4) for _ in range(3)]
+    coords = np.stack([hermitian_coords(q) for q in qs])
+    np.testing.assert_array_equal(hermitian_from_coords(coords, 4), np.stack(qs))
+    with pytest.raises(ValueError):
+        hermitian_from_coords(coords, 3)
+
+
+def test_nullspace_projection_matches_per_basis_sum():
+    f = gen_random_frame(3, 5, Field.COMPLEX, seed=4)
+    basis = _nullspace_matrices(f, pr.DEFAULT_TOL)
+    assert basis.shape == (9 - 5, 3, 3)
+    rng = np.random.default_rng(5)
+    q = _random_hermitian(rng, 3)
+    proj = _project_nullspace(q, basis)
+    by_loop = sum(float(np.sum(b.conj() * q).real) * b for b in basis)
+    np.testing.assert_allclose(proj, by_loop, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_project_nullspace(proj, basis), proj, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(trace_constraint_matrix(f) @ hermitian_coords(proj), 0.0,
+                               atol=1e-12)
+    # the descent gradient is sign(lam) e* B e for the third-largest |eigenvalue|
+    lam, vecs = np.linalg.eigh(proj)
+    t = np.argsort(np.abs(lam))[::-1][2]
+    e = vecs[:, t]
+    by_loop = [np.sign(lam[t]) * (e.conj() @ b @ e).real for b in basis]
+    np.testing.assert_allclose(_third_abs_eig_grad(proj, basis), by_loop, rtol=0, atol=1e-13)
 
 
 def test_hermitian_witness_matches_hand_pair():

@@ -98,6 +98,18 @@ def test_falsify_loose_rank_tolerance_is_inconclusive(tmp_path, capsys):
     assert "no-witness-found" in captured.out
 
 
+def test_falsify_spanning_loose_rank_tolerance_is_certified(tmp_path, capsys):
+    # the same rule certifies the failing bipartition {1, 2} | {3}; no pair
+    # is orthogonal within proj_tol, which leaves the verdict without one
+    f = pr.Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-5, 1.0]]), pr.Field.REAL)
+    code = main(["falsify", write_frame(tmp_path, f), "--mode", "spanning",
+                 "--tol-rank", "1e-2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "certified-fails" in captured.out and "I = {1, 2}" in captured.out
+
+
 def test_falsify_report_out(tmp_path):
     out = str(tmp_path / "report.json")
     main(["falsify", write_frame(tmp_path, AXES), "--restarts", "4", "--out", out])
