@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import collections
 import enum
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -37,14 +36,12 @@ from .linalg import (
     Field,
     Tolerances,
     gaussian_matrix,
-    numerical_rank,
     orthogonal_complement_point,
     orthonormalize,
 )
 from .seeding import spawn_rng
 
 _STREAM_SPAN_SEARCH = 4
-_STREAM_NULLSPACE = 6
 _STREAM_FRAME = 9
 
 
@@ -465,172 +462,21 @@ def pr_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdic
 
 
 # ---------------------------------------------------------------------------
-# Hermitian nullspace construction
+# Hermitian nullspace witness
 
-def hermitian_coords(q: np.ndarray) -> np.ndarray:
-    """Flatten Hermitian q to real coordinates.
-
-    Layout: n diagonal entries, then (Re q[j,k], Im q[j,k]) for j < k in
-    row-major order.  This layout is the contract for the trace
-    constraint matrix; keep it stable.
-    """
-    q = np.asarray(q)
-    n = q.shape[0]
-    upper = q[np.triu_indices(n, 1)]
-    pairs = np.stack([upper.real, upper.imag], axis=-1)
-    return np.concatenate([np.diagonal(q).real, pairs.reshape(-1)]).astype(np.float64)
-
-
-def hermitian_from_coords(c: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of hermitian_coords; leading axes of c are a batch."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape[-1:] != (n * n,):
-        raise ValueError(f"need {n * n} coordinates for Hermitian {n}x{n}")
-    q = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
-    j, k = np.triu_indices(n, 1)
-    upper = c[..., n::2] + 1j * c[..., n + 1::2]
-    q[..., np.arange(n), np.arange(n)] = c[..., :n]
-    q[..., j, k] = upper
-    q[..., k, j] = upper.conj()
-    return q
-
-
-def trace_constraint_matrix(f: Frame) -> np.ndarray:
-    """Rows of the real-linear system tr(Q x_i x_i*) = 0 in hermitian_coords.
-
-    For Hermitian Q, tr(Q x x*) = sum_j Q_jj |x_j|^2
-    + sum_{j<k} (2 Re(conj(x_j) x_k) Re Q_jk - 2 Im(conj(x_j) x_k) Im Q_jk).
-    """
-    n, m = f.dim, f.size
-    x = f.vectors.T
-    j, k = np.triu_indices(n, 1)
-    w = np.conj(x[:, j]) * x[:, k]
-    rows = np.empty((m, n * n))
-    rows[:, :n] = np.abs(x) ** 2
-    rows[:, n::2] = 2.0 * w.real
-    rows[:, n + 1::2] = -2.0 * w.imag
-    return rows
-
-
-def _iso_scale(n: int) -> np.ndarray:
-    # Frobenius isometry: off-diagonal coordinates carry weight sqrt(2)
-    s = np.ones(n * n)
-    s[n:] = math.sqrt(2.0)
-    return s
-
-
-def _nullspace_matrices(f: Frame, tol: Tolerances) -> np.ndarray:
-    """Frobenius-orthonormal Hermitian basis of the trace-zero nullspace, (d, n, n)."""
-    n = f.dim
-    rows = trace_constraint_matrix(f)
-    scale = _iso_scale(n)
-    rows_iso = rows / scale
-    _, s, vh = np.linalg.svd(rows_iso, full_matrices=True)
-    cutoff = tol.rank_rtol * (s[0] if s.size else 0.0) * max(rows_iso.shape)
-    rank = int(np.count_nonzero(s > cutoff))
-    return hermitian_from_coords(vh[rank:] / scale, n)
-
-
-def _project_nullspace(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Frobenius-orthogonal projection of q onto the span of the (d, n, n) basis."""
-    flat = basis.reshape(len(basis), -1)
-    coef = (flat.conj() @ q.reshape(-1)).real
-    return (coef @ flat).reshape(q.shape)
-
-
-def _indefinite_truncation(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float] | None:
-    """Nearest rank-2 one-positive-one-negative shape: keep extreme eigenpairs."""
-    lam, vecs = np.linalg.eigh(q)
-    if lam[-1] <= 0.0 or lam[0] >= 0.0:
-        return None
-    return vecs[:, -1], vecs[:, 0], float(lam[-1]), float(lam[0])
-
-
-def _theta_split(field: Field, n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if field is Field.COMPLEX:
-        if theta.size != 4 * n:
-            raise ValueError(f"theta must have length {4 * n}")
-        u = theta[:n] + 1j * theta[n:2 * n]
-        v = theta[2 * n:3 * n] + 1j * theta[3 * n:]
-    else:
-        if theta.size != 2 * n:
-            raise ValueError(f"theta must have length {2 * n}")
-        u, v = theta[:n].copy(), theta[n:].copy()
-    return u, v
-
-
-def _theta_join(field: Field, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if field is Field.COMPLEX:
-        return np.concatenate([u.real, u.imag, v.real, v.imag])
-    return np.concatenate([u, v])
-
-
-def _gn_polish_pair(p: ProjectionFamily, u, v, iters: int = 40):
-    """Damped Gauss-Newton on the measurement mismatches alone.
-
-    Runs unconstrained in the flat pair coordinates; the caller rescales
-    and re-verifies afterwards.  The phase gap is left to look after
-    itself: near a genuine witness the mismatch residuals vanish without
-    moving the pair appreciably.
-    """
-    projs = p.projections
-    u, v = u.copy(), v.copy()
-
-    def resid(u_, v_):
-        return measurements(p, u_) - measurements(p, v_)
-
-    r = resid(u, v)
-    for _ in range(iters):
-        sq = float(r @ r)
-        if sq == 0.0:
-            break
-        ju = 2.0 * np.einsum("mij,j->mi", projs, u)
-        jv = -2.0 * np.einsum("mij,j->mi", projs, v)
-        if p.field is Field.COMPLEX:
-            jac = np.concatenate([ju.real, ju.imag, jv.real, jv.imag], axis=1)
-        else:
-            jac = np.concatenate([ju, jv], axis=1)
-        delta, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        t = 1.0
-        improved = False
-        for _ in range(8):
-            theta = _theta_join(p.field, u, v) - t * delta
-            u_try, v_try = _theta_split(p.field, p.dim, theta)
-            r_try = resid(u_try, v_try)
-            if float(r_try @ r_try) < sq:
-                u, v, r = u_try, v_try, r_try
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return u, v
-
-
-def _witness_from_q(f: Frame, p: ProjectionFamily, q: np.ndarray,
-                    tol: Tolerances) -> PrWitness | None:
-    parts = _indefinite_truncation(q)
-    if parts is None:
-        return None
-    e_pos, e_neg, lam_pos, lam_neg = parts
-    u = math.sqrt(lam_pos) * e_pos
-    v = math.sqrt(-lam_neg) * e_neg
-    u, v = _gn_polish_pair(p, u, v)
-    return _certified_pair(p, u, v, tol)
-
-
-def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL, seed: int = 0,
-                                restarts: int = 16, iters: int = 150) -> PrWitness | None:
-    """Witness pair from an indefinite Hermitian Q with tr(Q x_i x_i*) = 0.
+def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL,
+                                seed: int = 0) -> PrWitness | None:
+    """Orthogonal witness pair from an indefinite Hermitian Q with tr(Q x_i x_i*) = 0.
 
     Any such Q of rank two factors as u u* - v v*, and the trace
     conditions say exactly that u and v have equal measurements against
     every frame vector.  The trace conditions are m real-linear equations
     on the n^2 real dimensions of Hermitian space, so m < n^2 guarantees
-    a nonzero solution; the rank-2 shape is automatic for n = 2 and is
-    searched for by seeded descent plus alternating projections when
-    n > 2.  Returns None when the rank-2 search comes up empty.
+    a nonzero solution.  The pair comes from pr_falsifier's lifted
+    spanning search; its Q = u u* - v v* is split into its extreme
+    eigenpairs, which gives the orthogonal pair sqrt(lam+) e+,
+    sqrt(-lam-) e- with the same Q.  Returns None when the search comes
+    up empty.
     """
     if f.field is not Field.COMPLEX:
         raise FieldError("the Hermitian nullspace construction is a complex-field device")
@@ -639,87 +485,13 @@ def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL, seed: i
         raise ValueError(f"need m < n^2 real constraints (m={m}, n^2={n * n}) "
                          "to guarantee a nonzero Hermitian solution")
     p = ProjectionFamily.from_frame(f, tol)
-    if numerical_rank(f.vectors, tol) < n:
-        # frame does not even span: a complement point gives a witness directly
-        x = orthogonal_complement_point(f.vectors, tol, seed=seed, field=f.field)
-        return pr_witness_from_nonspanning(p, x, tol, seed=seed)
-    basis = _nullspace_matrices(f, tol)
-    if len(basis) == 0:
+    verdict = pr_falsifier(p, SearchConfig(seed=seed, tol=tol))
+    if verdict.witness is None:
         return None
-    rng = spawn_rng(seed, _STREAM_NULLSPACE)
-    d = len(basis)
-    flat = basis.reshape(d, n * n)
-
-    def build(c):
-        return (c @ flat).reshape(n, n)
-
-    if n == 2:
-        # any nonzero solution is indefinite here (a semidefinite Q with
-        # zero measurements against a spanning frame must vanish)
-        for c in [row for row in np.eye(d)] + [rng.standard_normal(d) for _ in range(4)]:
-            w = _witness_from_q(f, p, build(c), tol)
-            if w is not None:
-                return w
-        return None
-
-    for _ in range(restarts):
-        c = rng.standard_normal(d)
-        c /= np.linalg.norm(c)
-        step = 0.5
-        q = build(c)
-        val = _third_abs_eig(q)
-        # descent on the third-largest absolute eigenvalue over the
-        # nullspace sphere, then alternating projections to finish
-        for _ in range(iters):
-            g = _third_abs_eig_grad(q, basis)
-            c_new = c - step * g
-            c_new /= np.linalg.norm(c_new)
-            q_new = build(c_new)
-            v_new = _third_abs_eig(q_new)
-            if v_new < val:
-                c, q, val, step = c_new, q_new, v_new, step * 1.25
-            else:
-                step *= 0.5
-            if step < 1e-12:
-                break
-        q = q / np.linalg.norm(q)
-        ok = False
-        for _ in range(300):
-            parts = _indefinite_truncation(q)
-            if parts is None:
-                break
-            e_pos, e_neg, lam_pos, lam_neg = parts
-            q_t = lam_pos * np.outer(e_pos, e_pos.conj()) + lam_neg * np.outer(e_neg, e_neg.conj())
-            q = _project_nullspace(q_t, basis)
-            nrm = np.linalg.norm(q)
-            if nrm < 1e-14:
-                break
-            q /= nrm
-            if _third_abs_eig(q) < 1e-13:
-                ok = True
-                break
-        if not ok:
-            continue
-        w = _witness_from_q(f, p, q, tol)
-        if w is not None:
-            return w
-    return None
-
-
-def _third_abs_eig(q: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(q)
-    mags = np.sort(np.abs(lam))[::-1]
-    return float(mags[2]) if mags.size > 2 else 0.0
-
-
-def _third_abs_eig_grad(q: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Gradient of _third_abs_eig(sum_d c_d B_d) in c: sign(lam) e* B_d e."""
-    lam, vecs = np.linalg.eigh(q)
-    order = np.argsort(np.abs(lam))[::-1]
-    t = order[2]
-    e = vecs[:, t]
-    sign = 1.0 if lam[t] >= 0.0 else -1.0
-    return sign * np.einsum("i,dij,j->d", e.conj(), basis, e).real
+    u, v = verdict.witness.u, verdict.witness.v
+    # u and v are independent, so Q has one positive and one negative eigenvalue
+    lam, vecs = np.linalg.eigh(np.outer(u, u.conj()) - np.outer(v, v.conj()))
+    return _certified_pair(p, np.sqrt(lam[-1]) * vecs[:, -1], np.sqrt(-lam[0]) * vecs[:, 0], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +555,11 @@ def complex_counterexample(n: int, cfg: SearchConfig | None = None) -> Counterex
     the inner products <x, x_i> to be nonzero (x can be orthogonal to at
     most n-1 of them), and those x_i span; so the spanning criterion
     holds at every point.  Phase retrieval still fails: 2n-1 < n^2 for
-    n >= 2, so the Hermitian nullspace construction produces a witness
-    pair.  The report carries both halves plus spot-check statistics.
+    n >= 2, so a rank-2 indefinite Hermitian Q with tr(Q x_i x_i*) = 0
+    exists, and pr_falsifier's lifted spanning search, run once under
+    cfg, finds the witness pair it factors into.  The report carries
+    both halves plus spot-check statistics, and takes the search
+    verdict's status, witness and method.
     """
     if n < 2:
         raise ValueError("counterexample needs dimension >= 2")
@@ -808,13 +583,8 @@ def complex_counterexample(n: int, cfg: SearchConfig | None = None) -> Counterex
         if not spanning_at(p, x, tol).spans:
             spanning_certified = False
 
-    witness = hermitian_nullspace_witness(f, tol, seed=cfg.seed)
-    method = "hermitian-nullspace"
-    if witness is None:
-        verdict = pr_falsifier(p, cfg)
-        witness = verdict.witness
-        method = verdict.method
-    status = Status.FALSIFIED if witness is not None else Status.NO_WITNESS_FOUND
+    verdict = pr_falsifier(p, cfg)
     return CounterexampleReport(frame=f, family=p, spanning_certified=spanning_certified,
                                 spot_samples=samples, min_active_inner=min_active,
-                                witness=witness, status=status, method=method)
+                                witness=verdict.witness, status=verdict.status,
+                                method=verdict.method)

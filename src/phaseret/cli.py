@@ -361,7 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_flags(sp)
     sp.set_defaults(func=_cmd_falsify)
 
-    sp = sub.add_parser("gen", help="generate frames and projection families")
+    sp = sub.add_parser("gen", help="generate frames and projection families",
+                        description="Generate frames and projection families.  For "
+                                    "--kind counterexample, --restarts and --iters size "
+                                    "the witness search.")
     sp.add_argument("--kind", choices=["full-spark", "counterexample", "random-proj"],
                     required=True)
     sp.add_argument("--n", type=int, required=True, help="ambient dimension")

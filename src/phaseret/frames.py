@@ -36,6 +36,7 @@ _STREAM_UNION = 2
 # matrix are only accurate to ~eps * lam_max, so the batched screen can
 # certify "spans" (lam_min well above noise) but never "does not span";
 # anything below the margin is re-checked exactly on the raw columns.
+# The margin also stays above the squared rank cutoff (see _screen_spans).
 _SCREEN_RATIO = 1e-8
 
 
@@ -199,17 +200,23 @@ def _side_rank(vectors: np.ndarray, idx, tol: Tolerances) -> int:
     return numerical_rank(vectors[:, list(idx)], tol)
 
 
-def _screen_spans(vectors: np.ndarray, sel: np.ndarray, n: int) -> np.ndarray:
+def _screen_spans(vectors: np.ndarray, sel: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Batched certain-spans screen over membership rows sel (k, m).
 
     Works on the n x n scatter matrix sum_i sel[i] v_i v_i*; True means
-    the selected columns certainly span, False means undecided.
+    the selected columns certainly span, False means undecided.  Its
+    eigenvalues are the squared singular values of the selected columns,
+    and the exact rule counts sigma_min only above rank_rtol * sigma_max
+    * max(n, |side|); so "spans" also needs lam_min above the square of
+    twice that cutoff at its largest, |side| = m.
     """
+    n, m = vectors.shape
+    ratio = max(_SCREEN_RATIO, (2.0 * tol.rank_rtol * max(n, m)) ** 2)
     w = vectors[None, :, :] * sel[:, None, :]
     scat = w @ vectors.conj().T
     lam = np.linalg.eigvalsh(scat)
     lam_min, lam_max = lam[:, 0], lam[:, -1]
-    return lam_min > _SCREEN_RATIO * np.maximum(lam_max, 0.0)
+    return lam_min > ratio * np.maximum(lam_max, 0.0)
 
 
 def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
@@ -249,14 +256,14 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
         i_open = np.zeros(k, dtype=bool)
         rows = np.flatnonzero(size_i >= n)
         if rows.size:
-            i_open[rows] = ~_screen_spans(v, sel_i[rows], n)
+            i_open[rows] = ~_screen_spans(v, sel_i[rows], tol)
         i_open |= size_i < n
         candidates = np.flatnonzero(i_open)
         if candidates.size:
             ic_open = np.zeros(k, dtype=bool)
             rows = candidates[size_ic[candidates] >= n]
             if rows.size:
-                ic_open[rows] = ~_screen_spans(v, sel_ic[rows], n)
+                ic_open[rows] = ~_screen_spans(v, sel_ic[rows], tol)
             ic_open[candidates] |= size_ic[candidates] < n
             both = np.flatnonzero(i_open & ic_open)
             for row in both:

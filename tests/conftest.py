@@ -28,19 +28,27 @@ def brute_complement_property(vectors: np.ndarray) -> bool:
     return True
 
 
-def brute_first_cp_failure(vectors: np.ndarray):
+def _brute_rank(a: np.ndarray, rtol: float | None) -> int:
+    """numpy's matrix_rank; with rtol, singular values above rtol * sigma_max * max(shape)."""
+    if rtol is None:
+        return int(np.linalg.matrix_rank(a))
+    return int(np.linalg.matrix_rank(a, tol=rtol * np.linalg.norm(a, 2) * max(a.shape)))
+
+
+def brute_first_cp_failure(vectors: np.ndarray, rtol: float | None = None):
     """First failing bipartition in the library's documented order.
 
     Vector 0 stays on side I; bit j of the mask moves vector j+1 to the
     complement; masks ascend.  Reimplemented here from that sentence
-    alone, as a cross-check on the vectorized walk.
+    alone, as a cross-check on the vectorized walk.  Ranks use numpy's
+    default cutoff, or rtol * sigma_max * max(shape) when rtol is given.
     """
     n, m = vectors.shape
     for mask in range(2 ** (m - 1)):
         side_ic = tuple(j + 1 for j in range(m - 1) if mask & (1 << j))
         side_i = tuple(j for j in range(m) if j not in side_ic)
-        r_i = np.linalg.matrix_rank(vectors[:, side_i]) if side_i else 0
-        r_ic = np.linalg.matrix_rank(vectors[:, side_ic]) if side_ic else 0
+        r_i = _brute_rank(vectors[:, side_i], rtol) if side_i else 0
+        r_ic = _brute_rank(vectors[:, side_ic], rtol) if side_ic else 0
         if r_i < n and r_ic < n:
             return side_i, side_ic, r_i, r_ic
     return None

@@ -28,15 +28,7 @@ from phaseret import (
     verify_pr_witness,
 )
 import phaseret.certify as certify
-from phaseret.certify import (
-    _lifted_stack,
-    _nullspace_matrices,
-    _project_nullspace,
-    _third_abs_eig_grad,
-    hermitian_coords,
-    hermitian_from_coords,
-    trace_constraint_matrix,
-)
+from phaseret.certify import _lifted_stack
 
 from conftest import random_projection_stack, random_unit_columns, stack_sigma_and_grad
 
@@ -305,77 +297,7 @@ def test_pr_falsifier_complex_n4_m11_finds_verified_witness():
 
 
 # ---------------------------------------------------------------------------
-# Hermitian nullspace machinery
-
-def test_hermitian_coords_roundtrip():
-    q = np.array([[2.0, 1.0 - 3.0j], [1.0 + 3.0j, -1.0]])
-    c = hermitian_coords(q)
-    np.testing.assert_allclose(c, [2.0, -1.0, 1.0, -3.0])
-    np.testing.assert_allclose(hermitian_from_coords(c, 2), q)
-
-
-def test_trace_constraints_mercedes_hand_solution():
-    f = Frame(MERCEDES.vectors.astype(complex), Field.COMPLEX)
-    a = trace_constraint_matrix(f)
-    assert a.shape == (3, 4)
-    # the one-dimensional kernel is the skew direction [[0, i], [-i, 0]]
-    q = np.array([[0.0, 1j], [-1j, 0.0]])
-    np.testing.assert_allclose(a @ hermitian_coords(q), 0.0, atol=1e-12)
-    assert np.linalg.matrix_rank(a) == 3
-
-
-def test_hermitian_coords_layout_is_row_major():
-    q = np.array([[7.0, 1 + 2j, 3 + 4j], [1 - 2j, 8.0, 5 + 6j], [3 - 4j, 5 - 6j, 9.0]])
-    np.testing.assert_array_equal(hermitian_coords(q), [7, 8, 9, 1, 2, 3, 4, 5, 6])
-
-
-def _random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return g + g.conj().T
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_trace_constraints_match_quadratic_forms(n):
-    rng = np.random.default_rng(100 + n)
-    cols = random_unit_columns(rng, n, 2 * n + 1, Field.COMPLEX)
-    rows = trace_constraint_matrix(Frame(cols, Field.COMPLEX))
-    for _ in range(3):
-        q = _random_hermitian(rng, n)
-        # tr(Q x x*) = x* Q x, column by column
-        direct = np.array([np.vdot(x, q @ x).real for x in cols.T])
-        np.testing.assert_allclose(rows @ hermitian_coords(q), direct, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(hermitian_from_coords(hermitian_coords(q), n), q,
-                                   rtol=0, atol=1e-15)
-
-
-def test_hermitian_from_coords_batches_leading_axes():
-    rng = np.random.default_rng(3)
-    qs = [_random_hermitian(rng, 4) for _ in range(3)]
-    coords = np.stack([hermitian_coords(q) for q in qs])
-    np.testing.assert_array_equal(hermitian_from_coords(coords, 4), np.stack(qs))
-    with pytest.raises(ValueError):
-        hermitian_from_coords(coords, 3)
-
-
-def test_nullspace_projection_matches_per_basis_sum():
-    f = gen_random_frame(3, 5, Field.COMPLEX, seed=4)
-    basis = _nullspace_matrices(f, pr.DEFAULT_TOL)
-    assert basis.shape == (9 - 5, 3, 3)
-    rng = np.random.default_rng(5)
-    q = _random_hermitian(rng, 3)
-    proj = _project_nullspace(q, basis)
-    by_loop = sum(float(np.sum(b.conj() * q).real) * b for b in basis)
-    np.testing.assert_allclose(proj, by_loop, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(_project_nullspace(proj, basis), proj, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(trace_constraint_matrix(f) @ hermitian_coords(proj), 0.0,
-                               atol=1e-12)
-    # the descent gradient is sign(lam) e* B e for the third-largest |eigenvalue|
-    lam, vecs = np.linalg.eigh(proj)
-    t = np.argsort(np.abs(lam))[::-1][2]
-    e = vecs[:, t]
-    by_loop = [np.sign(lam[t]) * (e.conj() @ b @ e).real for b in basis]
-    np.testing.assert_allclose(_third_abs_eig_grad(proj, basis), by_loop, rtol=0, atol=1e-13)
-
+# Hermitian nullspace witness
 
 def test_hermitian_witness_matches_hand_pair():
     f = Frame(MERCEDES.vectors.astype(complex), Field.COMPLEX)
@@ -423,6 +345,16 @@ def test_hermitian_witness_n3():
     w = hermitian_nullspace_witness(f, seed=2)
     assert w is not None
     assert verify_pr_witness(ProjectionFamily.from_frame(f), w.u, w.v).valid
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_hermitian_witness_full_spark_n6_returns_orthogonal_pair(seed):
+    # the 2n-1 full-spark frame in C^6
+    f = gen_full_spark(6, 11, Field.COMPLEX)
+    w = hermitian_nullspace_witness(f, seed=seed)
+    assert w is not None
+    assert verify_pr_witness(ProjectionFamily.from_frame(f), w.u, w.v).valid
+    assert abs(np.vdot(w.u, w.v)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +454,10 @@ def test_complex_counterexample_smoke():
     p = rep.family
     chk = verify_pr_witness(p, rep.witness.u, rep.witness.v)
     assert chk.valid and chk.max_mismatch < 1e-9 and chk.phase_gap > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_complex_counterexample_uses_lifted_search(seed):
+    rep = complex_counterexample(6, SearchConfig(restarts=16, seed=seed))
+    assert rep.status is Status.FALSIFIED and rep.method == "lifted-spanning"
+    assert verify_pr_witness(rep.family, rep.witness.u, rep.witness.v).valid

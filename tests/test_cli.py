@@ -110,6 +110,18 @@ def test_falsify_spanning_loose_rank_tolerance_is_certified(tmp_path, capsys):
     assert "certified-fails" in captured.out and "I = {1, 2}" in captured.out
 
 
+@pytest.mark.parametrize("cmd", [["check-cp"], ["falsify", "--mode", "spanning"]])
+def test_loose_rank_tolerance_reaches_the_cp_screen(tmp_path, capsys, cmd):
+    # at --tol-rank 1e-2 the first two vectors count as one line, so
+    # {1, 2} | {3} fails; the Gram screen must not call {1, 2, 3} a clear span
+    f = pr.Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-3, 1.0]]), pr.Field.REAL)
+    code = main([cmd[0], write_frame(tmp_path, f), *cmd[1:], "--tol-rank", "1e-2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert "I = {1, 2}" in captured.out and "I^c = {3}" in captured.out
+
+
 def test_falsify_report_out(tmp_path):
     out = str(tmp_path / "report.json")
     main(["falsify", write_frame(tmp_path, AXES), "--restarts", "4", "--out", out])

@@ -7,6 +7,7 @@ from phaseret import (
     Field,
     Frame,
     ProjectionFamily,
+    Tolerances,
     complement_property,
     full_spark,
     image_matrix,
@@ -94,6 +95,31 @@ def test_cp_first_failure_ordering():
     assert w.side_I == (0, 1, 3) and w.side_Ic == (2,)
     assert w.rank_I == 2 and w.rank_Ic == 1
     assert brute_first_cp_failure(cols) == (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+
+
+def _near_hyperplane_frame(rng, n):
+    # unit columns, a random subset of them pushed to within a random
+    # distance of one hyperplane, so side ranks sit near every cutoff
+    m = n + 1 + int(rng.integers(0, 3))
+    cols = rng.standard_normal((n, m))
+    normal = rng.standard_normal(n)
+    normal /= np.linalg.norm(normal)
+    idx = rng.choice(m, size=int(rng.integers(n - 1, m)), replace=False)
+    flat = cols[:, idx] - np.outer(normal, normal @ cols[:, idx])
+    eps = 10.0 ** rng.uniform(-13, -1)
+    cols[:, idx] = flat + eps * np.outer(normal, rng.standard_normal(idx.size))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+@pytest.mark.parametrize("rtol", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
+def test_cp_matches_brute_oracle_at_every_rank_tolerance(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    for n in (2, 3, 4):
+        for seed in range(50):
+            cols = _near_hyperplane_frame(np.random.default_rng(1000 * n + seed), n)
+            w = complement_property(real_frame(cols), tol)
+            got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+            assert got == brute_first_cp_failure(cols, rtol), (n, seed)
 
 
 def test_cp_capacity():
