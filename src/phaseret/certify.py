@@ -27,7 +27,6 @@ from .frames import (
     complement_property,
     full_spark,
     image_matrix,
-    image_rank,
     rank1_reduction,
     spanning_at,
 )
@@ -36,6 +35,7 @@ from .linalg import (
     Field,
     Tolerances,
     gaussian_matrix,
+    null_direction,
     orthogonal_complement_point,
     orthonormalize,
 )
@@ -71,23 +71,16 @@ class WitnessCheck:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and step policy for the multi-start spanning search."""
+    """Budget, seed and tolerances of the multi-start spanning search."""
 
     restarts: int = 64
     max_iters: int = 500
-    step_init: float = 0.1
-    step_grow: float = 1.25
-    step_shrink: float = 0.5
     seed: int = 0
     tol: Tolerances = dc_field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be >= 1")
-        if not 0.0 < self.step_shrink < 1.0 < self.step_grow:
-            raise ValueError("need 0 < step_shrink < 1 < step_grow")
-        if self.step_init <= 0.0:
-            raise ValueError("step_init must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +165,16 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
                                 seed: int = 0) -> PrWitness:
     """Witness pair (x+y, x-y) from a point whose images fail to span.
 
-    y is a unit vector orthogonal to every P_i x; then <P_i y, P_i x> =
-    <y, P_i x> = 0 kills the cross terms, so x+y and x-y have identical
-    measurements in either field, while unit x and y keep the pair far
-    from phase equivalence.
+    y is a unit vector orthogonal to every P_i x (null_direction of the
+    images); then <P_i y, P_i x> = <y, P_i x> = 0 kills the cross terms,
+    so x+y and x-y have identical measurements in either field.  Such a
+    pair is phase-equivalent only if y is a unimodular multiple of x,
+    which forces ||P_i x||^2 = <x, P_i x> = 0 for every i.  So when the
+    images have rank 0 (at the default rank_rtol: every image is float
+    dust), y is instead a seeded unit vector orthogonal to x; the seed
+    matters only there.  Over R the phase gap is exactly 1.  Raises
+    ValueError for a zero or spanning x, and RuntimeError when the pair
+    does not re-verify.
     """
     x = np.asarray(x).reshape(-1)
     nx = np.linalg.norm(x)
@@ -185,24 +184,14 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
     report = spanning_at(p, x, tol)
     if report.spans:
         raise ValueError("images of x span the space; no witness arises from x")
-    a = image_matrix(p, x)
-    # images below this are float dust or too small to move the
-    # measurements past witness_tol; orthogonalizing against them would
-    # constrain y by noise directions
-    degenerate = np.max(np.abs(a)) <= 0.01 * tol.witness_tol
-    for attempt in range(16):
-        # stride retries so a caller that derived x from the same seed's
-        # complement stream cannot hand us back x as y
-        draw_seed = seed if attempt == 0 else seed + 104729 * attempt
-        if degenerate:
-            y = orthogonal_complement_point(None, tol, seed=draw_seed,
-                                            field=p.field, dim=p.dim)
-        else:
-            y = orthogonal_complement_point(a, tol, seed=draw_seed, field=p.field)
-        witness = _certified_pair(p, x + y, x - y, tol)
-        if witness is not None:
-            return witness
-    raise RuntimeError("complement draws kept producing phase-equivalent pairs")
+    if report.rank == 0:
+        y = orthogonal_complement_point(x, tol, seed=seed, field=p.field)
+    else:
+        y = null_direction(image_matrix(p, x), tol)
+    witness = _certified_pair(p, x + y, x - y, tol)
+    if witness is None:
+        raise RuntimeError("the pair built from x does not re-verify")
+    return witness
 
 
 def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
@@ -212,10 +201,12 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
     The complement property is decidable by finite enumeration and, over
     the reals, equivalent to phase retrieval by the frame's rank-1
     projections.  A failing bipartition is converted into a verified
-    witness pair: x orthogonal to side I, y orthogonal to side I^c, pair
-    (x+y, x-y).  The verdict's point is x, where the images fail to span.
-    Under a loose rank_rtol a side can count as rank-deficient without
-    any direction orthogonal to it within proj_tol; the failure is still
+    witness pair: x is a seeded unit vector orthogonal to side I, so its
+    images vanish on side I and lie in the span of side I^c, which does
+    not span; pr_witness_from_nonspanning turns x into the pair.  The
+    verdict's point is x.  Under a loose rank_rtol a side can count as
+    rank-deficient without any direction orthogonal to it within
+    proj_tol, or the pair can fail to re-verify; the failure is still
     certified, and the verdict then carries its partition but no witness
     or point.  No complex analogue exists; complex input is rejected.
     """
@@ -225,22 +216,13 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
     if w is None:
         return Verdict(Status.CERTIFIED_HOLDS, method="complement-property")
     p = ProjectionFamily.from_frame(f, tol)
-    n = f.dim
-    side_i = f.vectors[:, list(w.side_I)] if w.side_I else None
-    side_ic = f.vectors[:, list(w.side_Ic)] if w.side_Ic else None
-    for attempt in range(16):
-        try:
-            x = orthogonal_complement_point(side_i, tol, seed=seed + attempt,
-                                            field=f.field, dim=n)
-            y = orthogonal_complement_point(side_ic, tol, seed=seed + attempt + 31,
-                                            field=f.field, dim=n)
-        except ValueError:
-            break
-        witness = _certified_pair(p, x + y, x - y, tol)
-        if witness is not None:
-            return Verdict(Status.CERTIFIED_FAILS, method="complement-property",
-                           witness=witness, partition=w, point=x)
-    return Verdict(Status.CERTIFIED_FAILS, method="complement-property", partition=w)
+    try:
+        x = orthogonal_complement_point(f.vectors[:, list(w.side_I)], tol, seed=seed)
+        witness = pr_witness_from_nonspanning(p, x, tol, seed)
+    except (ValueError, RuntimeError):
+        return Verdict(Status.CERTIFIED_FAILS, method="complement-property", partition=w)
+    return Verdict(Status.CERTIFIED_FAILS, method="complement-property",
+                   witness=witness, partition=w, point=x)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +249,9 @@ def _sigma_eval(ops, X):
     return s[:, -1], g
 
 
+_STEP_INIT = 0.1
+_STEP_GROW = 1.25
+_STEP_SHRINK = 0.5
 _FREEZE_WINDOW = 25
 _FREEZE_RTOL = 1e-3
 
@@ -289,7 +274,7 @@ def _descent(value_grad, X, cfg: SearchConfig, solved):
     """
     X = X.copy()
     val, grad = value_grad(X)
-    step = np.full(val.shape, cfg.step_init)
+    step = np.full(val.shape, _STEP_INIT)
     live = np.arange(val.size)
     history = collections.deque([val.copy()], maxlen=_FREEZE_WINDOW + 1)
     best, offered = np.inf, False
@@ -306,8 +291,8 @@ def _descent(value_grad, X, cfg: SearchConfig, solved):
         X[moved] = cand[better]
         grad[moved] = cgrad[better]
         val[moved] = cval[better]
-        step[live] = np.minimum(np.where(better, step[live] * cfg.step_grow,
-                                         step[live] * cfg.step_shrink), 1e3)
+        step[live] = np.minimum(np.where(better, step[live] * _STEP_GROW,
+                                         step[live] * _STEP_SHRINK), 1e3)
         history.append(val.copy())
         frozen = step[live] < 1e-14
         if len(history) > _FREEZE_WINDOW:
@@ -352,12 +337,7 @@ def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarra
 
 def _orthogonal_direction(ops: np.ndarray, x: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     """Unit w orthogonal to every A_j x when those images fail to span, else None."""
-    a = (ops @ x).T
-    if image_rank(a, tol) == a.shape[0]:
-        return None
-    # full left basis: with fewer images than dimensions the null
-    # directions are the columns past the last singular value
-    return np.linalg.svd(a)[0][:, -1]
+    return null_direction((ops @ x).T, tol)
 
 
 def _spanning_search(ops: np.ndarray, cfg: SearchConfig):

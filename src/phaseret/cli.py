@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -69,9 +70,7 @@ def _seed(args) -> int:
 
 
 def _search_config(args, tol: Tolerances, seed: int) -> SearchConfig:
-    return SearchConfig(restarts=getattr(args, "restarts", 64),
-                        max_iters=getattr(args, "iters", 500),
-                        seed=seed, tol=tol)
+    return SearchConfig(restarts=args.restarts, max_iters=args.iters, seed=seed, tol=tol)
 
 
 def _config_echo(tol: Tolerances, seed: int, args) -> dict:
@@ -242,7 +241,6 @@ def _survey_cell(n: int, m: int, field: Field, trials: int, seed: int,
                  cfg: SearchConfig, tol: Tolerances) -> dict:
     successes = 0
     elapsed = 0.0
-    note = ""
     for t in range(trials):
         rng = spawn_rng(seed, _STREAM_SURVEY, n, m, t)
         f = Frame(gaussian_matrix(rng, n, m, field), field)
@@ -253,9 +251,7 @@ def _survey_cell(n: int, m: int, field: Field, trials: int, seed: int,
                 success = verdict.status is Status.CERTIFIED_HOLDS
             else:
                 p = ProjectionFamily.from_frame(f, tol)
-                trial_cfg = SearchConfig(restarts=cfg.restarts, max_iters=cfg.max_iters,
-                                         seed=seed * 1_000_003 + t, tol=tol)
-                verdict = pr_falsifier(p, trial_cfg)
+                verdict = pr_falsifier(p, dataclasses.replace(cfg, seed=seed * 1_000_003 + t))
                 success = verdict.status is Status.FALSIFIED
         except CapacityError as exc:
             return {"n": n, "m": m, "field": field.value, "trials": trials,
@@ -264,7 +260,7 @@ def _survey_cell(n: int, m: int, field: Field, trials: int, seed: int,
         successes += int(success)
     return {"n": n, "m": m, "field": field.value, "trials": trials,
             "rate": f"{successes / trials:.6f}",
-            "mean_runtime": f"{elapsed / trials:.6f}", "note": note}
+            "mean_runtime": f"{elapsed / trials:.6f}", "note": ""}
 
 
 def _cmd_survey(args, argv, started) -> int:
@@ -325,8 +321,9 @@ def _add_tol_flags(sp) -> None:
 
 
 def _add_search_flags(sp) -> None:
-    sp.add_argument("--restarts", type=int, default=64, help="multi-start restarts")
-    sp.add_argument("--iters", type=int, default=500,
+    sp.add_argument("--restarts", type=int, default=SearchConfig.restarts,
+                    help="multi-start restarts")
+    sp.add_argument("--iters", type=int, default=SearchConfig.max_iters,
                     help="upper bound on descent iterations per restart; the "
                          "descent stops once its best point fails to span, and "
                          "a restart that stops improving freezes")

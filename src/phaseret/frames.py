@@ -23,10 +23,12 @@ from .linalg import (
     as_field_array,
     ensure_finite,
     haar_rotation,
+    image_rank,
     max_abs,
     numerical_rank,
     orthogonal_complement_point,
     projector_from_basis,
+    rank_cutoff,
 )
 from .seeding import spawn_rng
 
@@ -38,6 +40,10 @@ _STREAM_UNION = 2
 # anything below the margin is re-checked exactly on the raw columns.
 # The margin also stays above the squared rank cutoff (see _screen_spans).
 _SCREEN_RATIO = 1e-8
+
+# rows per batch in the bipartition walk and the n-subset walk
+_CP_CHUNK = 8192
+_SPARK_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +212,12 @@ def _screen_spans(vectors: np.ndarray, sel: np.ndarray, tol: Tolerances) -> np.n
     Works on the n x n scatter matrix sum_i sel[i] v_i v_i*; True means
     the selected columns certainly span, False means undecided.  Its
     eigenvalues are the squared singular values of the selected columns,
-    and the exact rule counts sigma_min only above rank_rtol * sigma_max
-    * max(n, |side|); so "spans" also needs lam_min above the square of
+    and the exact rule counts sigma_min only above rank_cutoff(sigma_max,
+    max(n, |side|)); so "spans" also needs lam_min above the square of
     twice that cutoff at its largest, |side| = m.
     """
     n, m = vectors.shape
-    ratio = max(_SCREEN_RATIO, (2.0 * tol.rank_rtol * max(n, m)) ** 2)
+    ratio = max(_SCREEN_RATIO, (2.0 * rank_cutoff(1.0, max(n, m), tol)) ** 2)
     w = vectors[None, :, :] * sel[:, None, :]
     scat = w @ vectors.conj().T
     lam = np.linalg.eigvalsh(scat)
@@ -219,8 +225,22 @@ def _screen_spans(vectors: np.ndarray, sel: np.ndarray, tol: Tolerances) -> np.n
     return lam_min > ratio * np.maximum(lam_max, 0.0)
 
 
+def _open_sides(vectors: np.ndarray, sel: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Rows of sel whose side may fail to span.
+
+    A side with fewer than n vectors cannot span; the rest are open
+    unless the Gram screen certifies them.
+    """
+    n = vectors.shape[0]
+    is_open = sel.sum(axis=1) < n
+    rows = np.flatnonzero(~is_open)
+    if rows.size:
+        is_open[rows] = ~_screen_spans(vectors, sel[rows], tol)
+    return is_open
+
+
 def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
-                        cap: int = 24, chunk: int = 8192) -> PartitionWitness | None:
+                        cap: int = 24) -> PartitionWitness | None:
     """Exact complement-property check by bipartition enumeration.
 
     Returns None when every bipartition has a spanning side, else the
@@ -240,48 +260,28 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
     total = 1 << nbits
     shifts = np.arange(nbits, dtype=np.uint64)
 
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        k = masks.size
-        if nbits:
-            bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        else:
-            bits = np.zeros((k, 0))
-        sel_i = np.concatenate([np.ones((k, 1)), 1.0 - bits], axis=1)
-        sel_ic = 1.0 - sel_i
-        size_i = sel_i.sum(axis=1)
-        size_ic = sel_ic.sum(axis=1)
-
-        # Side with fewer than n vectors cannot span; screen the rest.
-        i_open = np.zeros(k, dtype=bool)
-        rows = np.flatnonzero(size_i >= n)
-        if rows.size:
-            i_open[rows] = ~_screen_spans(v, sel_i[rows], tol)
-        i_open |= size_i < n
-        candidates = np.flatnonzero(i_open)
-        if candidates.size:
-            ic_open = np.zeros(k, dtype=bool)
-            rows = candidates[size_ic[candidates] >= n]
-            if rows.size:
-                ic_open[rows] = ~_screen_spans(v, sel_ic[rows], tol)
-            ic_open[candidates] |= size_ic[candidates] < n
-            both = np.flatnonzero(i_open & ic_open)
-            for row in both:
-                mask = int(masks[row])
-                side_i = (0,) + tuple(j + 1 for j in range(nbits) if not (mask >> j) & 1)
-                side_ic = tuple(j + 1 for j in range(nbits) if (mask >> j) & 1)
-                rank_i = _side_rank(v, side_i, tol)
-                if rank_i == n:
-                    continue
-                rank_ic = _side_rank(v, side_ic, tol)
-                if rank_ic == n:
-                    continue
-                return PartitionWitness(side_i, side_ic, rank_i, rank_ic)
+    for start in range(0, total, _CP_CHUNK):
+        masks = np.arange(start, min(start + _CP_CHUNK, total), dtype=np.uint64)
+        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        sel_i = np.concatenate([np.ones((masks.size, 1)), 1.0 - bits], axis=1)
+        candidates = np.flatnonzero(_open_sides(v, sel_i, tol))
+        both = candidates[_open_sides(v, 1.0 - sel_i[candidates], tol)]
+        for row in both:
+            mask = int(masks[row])
+            side_i = (0,) + tuple(j + 1 for j in range(nbits) if not (mask >> j) & 1)
+            side_ic = tuple(j + 1 for j in range(nbits) if (mask >> j) & 1)
+            rank_i = _side_rank(v, side_i, tol)
+            if rank_i == n:
+                continue
+            rank_ic = _side_rank(v, side_ic, tol)
+            if rank_ic == n:
+                continue
+            return PartitionWitness(side_i, side_ic, rank_i, rank_ic)
     return None
 
 
 def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
-               cap: int = 5_000_000, chunk: int = 4096) -> tuple[int, ...] | None:
+               cap: int = 5_000_000) -> tuple[int, ...] | None:
     """Exact full-spark check over all n-element subsets.
 
     Returns None when every n-subset of columns has rank n, else the
@@ -296,14 +296,13 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     v = f.vectors
     combos = itertools.combinations(range(m), n)
     while True:
-        block = list(itertools.islice(combos, chunk))
+        block = list(itertools.islice(combos, _SPARK_CHUNK))
         if not block:
             return None
         idx = np.array(block, dtype=np.intp)
         sub = v[:, idx].transpose(1, 0, 2)  # (k, n, n), columns idx[k]
         s = np.linalg.svd(sub, compute_uv=False)
-        cutoff = tol.rank_rtol * s[:, 0] * n
-        deficient = np.flatnonzero(s[:, -1] <= cutoff)
+        deficient = np.flatnonzero(s[:, -1] <= rank_cutoff(s[:, 0], n, tol))
         if deficient.size:
             return tuple(int(j) for j in idx[deficient[0]])
 
@@ -325,16 +324,6 @@ def spanning_at(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL) -> Spanni
         raise ValueError("spanning test point must be nonzero")
     rank = image_rank(image_matrix(p, x / nx), tol)
     return SpanningReport(spans=rank == p.dim, rank=rank)
-
-
-def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank of the images of a unit point, stacked as columns."""
-    s = np.linalg.svd(a, compute_uv=False)
-    # images of a unit point never exceed unit scale, so anchor the noise
-    # floor at 1: when every image is float dust the rank is 0, not
-    # whatever the dust happens to span
-    cutoff = tol.rank_rtol * max(float(s[0]) if s.size else 0.0, 1.0) * max(a.shape)
-    return int(np.count_nonzero(s > cutoff))
 
 
 def onb_union(p: ProjectionFamily, seed: int = 0) -> Frame:

@@ -3,8 +3,8 @@
 Matrices are plain numpy arrays; the scalar field is carried explicitly by
 the Field enum (real arrays are float64, complex arrays are complex128).
 Vectors are 1-D arrays, column collections are (n, k) arrays.  All rank
-decisions go through a single relative singular-value threshold so that
-every "spans" question in the toolkit means the same thing.
+decisions go through one relative singular-value threshold, rank_cutoff,
+so that every "spans" question in the toolkit means the same thing.
 """
 
 from __future__ import annotations
@@ -85,8 +85,18 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def rank_cutoff(scale, size, tol: Tolerances):
+    """The rank rule: a singular value counts toward the rank when it is
+    strictly above rank_rtol * scale * size.
+
+    scale is the matrix's sigma_max (or a floor under it), size its
+    larger dimension; scale may be an array for batched decisions.
+    """
+    return tol.rank_rtol * scale * size
+
+
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count singular values above rank_rtol * sigma_max * max(rows, cols).
+    """Count singular values above rank_cutoff(sigma_max, max(rows, cols)).
 
     Returns 0 for an identically zero matrix.  Raises on empty or
     non-finite input.
@@ -96,11 +106,29 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
         raise ValueError("numerical_rank needs a nonempty 2-D matrix")
     ensure_finite(arr, "matrix")
     s = np.linalg.svd(arr, compute_uv=False)
-    smax = s[0]
-    if smax == 0.0:
-        return 0
-    cutoff = tol.rank_rtol * smax * max(arr.shape)
-    return int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(s > rank_cutoff(s[0], max(arr.shape), tol)))
+
+
+def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank of the images of a unit point, stacked as columns."""
+    s = np.linalg.svd(a, compute_uv=False)
+    # images of a unit point never exceed unit scale, so anchor the noise
+    # floor at 1: when every image is float dust the rank is 0, not
+    # whatever the dust happens to span
+    scale = max(float(s[0]) if s.size else 0.0, 1.0)
+    return int(np.count_nonzero(s > rank_cutoff(scale, max(a.shape), tol)))
+
+
+def null_direction(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """Unit vector orthogonal to the columns of a when they fail to span, else None.
+
+    a holds the images of a unit point (see image_rank); the direction is
+    the last column of the full left singular basis, so with fewer
+    columns than rows it lies past the last singular value.
+    """
+    if image_rank(a, tol) == a.shape[0]:
+        return None
+    return np.linalg.svd(a)[0][:, -1]
 
 
 def min_singular_value(m) -> float:
@@ -117,18 +145,15 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the column span, via SVD.
 
     The output Gram matrix is the identity to machine precision and the
-    span equals the input span at the rank_rtol threshold.  Raises when
-    the columns are all numerically zero.
+    span equals the input span under the rank rule (rank_cutoff).  Raises
+    when the columns are all numerically zero.
     """
     arr = np.asarray(vectors)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError("orthonormalize needs at least one column")
     ensure_finite(arr, "vectors")
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ValueError("columns span only the zero subspace")
-    cutoff = tol.rank_rtol * s[0] * max(arr.shape)
-    r = int(np.count_nonzero(s > cutoff))
+    r = int(np.count_nonzero(s > rank_cutoff(s.max(initial=0.0), max(arr.shape), tol)))
     if r == 0:
         raise ValueError("columns span only the zero subspace")
     return u[:, :r]

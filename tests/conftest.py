@@ -54,13 +54,27 @@ def brute_first_cp_failure(vectors: np.ndarray, rtol: float | None = None):
     return None
 
 
-def brute_full_spark(vectors: np.ndarray):
-    """First lexicographic dependent n-subset, or None if full spark."""
+def brute_full_spark(vectors: np.ndarray, rtol: float | None = None):
+    """First lexicographic dependent n-subset, or None if full spark.
+
+    Ranks use numpy's default cutoff, or rtol * sigma_max * n when rtol
+    is given.
+    """
     n, m = vectors.shape
     for combo in itertools.combinations(range(m), n):
-        if np.linalg.matrix_rank(vectors[:, combo]) < n:
+        if _brute_rank(vectors[:, combo], rtol) < n:
             return combo
     return None
+
+
+def brute_image_rank(projections: np.ndarray, x: np.ndarray, rtol: float) -> int:
+    """Rank of the images P_i x of a unit x, stacked as columns.
+
+    Singular values count above rtol * max(sigma_max, 1) * max(shape):
+    images of a unit point never exceed unit scale, so the floor is 1.
+    """
+    a = (projections @ x).T
+    return int(np.linalg.matrix_rank(a, tol=rtol * max(np.linalg.norm(a, 2), 1.0) * max(a.shape)))
 
 
 def random_unit_columns(rng: np.random.Generator, n: int, m: int, field: Field) -> np.ndarray:

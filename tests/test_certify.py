@@ -126,6 +126,26 @@ def test_witness_from_nonspanning_zero_images():
     assert verify_pr_witness(p, w.u, w.v).valid
 
 
+def test_witness_from_nonspanning_zero_images_complex():
+    # complex rank-0 branch: y is drawn orthogonal to x, never a phase of it
+    p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0]).astype(complex)])
+    assert p.field is Field.COMPLEX
+    w = pr_witness_from_nonspanning(p, np.array([0.0, 1.0, 0.0], dtype=complex))
+    chk = verify_pr_witness(p, w.u, w.v)
+    assert chk.valid and chk.phase_gap > 0.5
+
+
+def test_witness_from_nonspanning_ignores_seed_when_images_are_not_dust():
+    # the images have rank 1, so y is the null direction and no draw is made
+    p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0])])
+    x = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    w0 = pr_witness_from_nonspanning(p, x, seed=0)
+    w1 = pr_witness_from_nonspanning(p, x, seed=1)
+    np.testing.assert_array_equal(w0.u, w1.u)
+    np.testing.assert_array_equal(w0.v, w1.v)
+    assert verify_pr_witness(p, w0.u, w0.v).valid
+
+
 # ---------------------------------------------------------------------------
 # exact real decision
 
@@ -135,6 +155,21 @@ def test_decide_axes_fails_with_witness_and_partition():
     assert v.partition is not None and v.partition.side_I == (0,)
     assert v.witness is not None and v.witness.max_mismatch < 1e-12
     assert v.witness.phase_gap > 1e-6
+
+
+def test_decide_witness_is_the_witness_of_its_point():
+    # e1, e2, e1, e3 in R^3: the first failure is {1, 3, 4} | {2}, and the
+    # decision turns its point into a pair exactly as the public helper does
+    f = Frame(np.eye(3)[:, [0, 1, 0, 2]], Field.REAL)
+    v = decide_real_rank1(f)
+    assert v.status is Status.CERTIFIED_FAILS
+    assert v.partition.side_I == (0, 2, 3) and v.partition.side_Ic == (1,)
+    p = ProjectionFamily.from_frame(f)
+    assert spanning_at(p, v.point).spans is False
+    w = pr_witness_from_nonspanning(p, v.point)
+    np.testing.assert_array_equal(v.witness.u, w.u)
+    np.testing.assert_array_equal(v.witness.v, w.v)
+    assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
 
 
 def test_decide_mercedes_holds():
@@ -436,8 +471,6 @@ def test_sigma_gradient_on_both_stacks(field):
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(step_init=-0.1)
     cfg = SearchConfig()
     assert cfg.restarts == 64 and cfg.max_iters == 500
 

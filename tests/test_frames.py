@@ -23,6 +23,7 @@ from conftest import (
     brute_complement_property,
     brute_first_cp_failure,
     brute_full_spark,
+    brute_image_rank,
     random_projection_stack,
     random_unit_columns,
 )
@@ -108,18 +109,46 @@ def _near_hyperplane_frame(rng, n):
     flat = cols[:, idx] - np.outer(normal, normal @ cols[:, idx])
     eps = 10.0 ** rng.uniform(-13, -1)
     cols[:, idx] = flat + eps * np.outer(normal, rng.standard_normal(idx.size))
-    return cols / np.linalg.norm(cols, axis=0)
+    return cols / np.linalg.norm(cols, axis=0), normal
 
 
-@pytest.mark.parametrize("rtol", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2])
-def test_cp_matches_brute_oracle_at_every_rank_tolerance(rtol):
-    tol = Tolerances(rank_rtol=rtol)
+_RTOLS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]
+
+
+def _near_hyperplane_frames():
     for n in (2, 3, 4):
         for seed in range(50):
-            cols = _near_hyperplane_frame(np.random.default_rng(1000 * n + seed), n)
-            w = complement_property(real_frame(cols), tol)
-            got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
-            assert got == brute_first_cp_failure(cols, rtol), (n, seed)
+            cols, normal = _near_hyperplane_frame(np.random.default_rng(1000 * n + seed), n)
+            yield n, seed, cols, normal
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_cp_matches_brute_oracle_at_every_rank_tolerance(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    for n, seed, cols, _ in _near_hyperplane_frames():
+        w = complement_property(real_frame(cols), tol)
+        got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+        assert got == brute_first_cp_failure(cols, rtol), (n, seed)
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_full_spark_matches_brute_oracle_at_every_rank_tolerance(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    for n, seed, cols, _ in _near_hyperplane_frames():
+        assert full_spark(real_frame(cols), tol) == brute_full_spark(cols, rtol), (n, seed)
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_spanning_at_matches_brute_oracle_at_every_rank_tolerance(rtol):
+    # at the hyperplane's normal the near-hyperplane images are small, so
+    # the image rank sits near every cutoff
+    tol = Tolerances(rank_rtol=rtol)
+    for n, seed, cols, normal in _near_hyperplane_frames():
+        stack = np.stack([np.outer(c, c) for c in cols.T])
+        rank = brute_image_rank(stack, normal, rtol)
+        report = spanning_at(ProjectionFamily.from_projections(stack, Field.REAL, tol),
+                             normal, tol)
+        assert (report.rank, report.spans) == (rank, rank == n), (n, seed)
 
 
 def test_cp_capacity():
