@@ -14,7 +14,6 @@ from .linalg import (
     DEFAULT_TOL,
     Field,
     Tolerances,
-    min_singular_value,
     numerical_rank,
     orthogonal_complement_point,
     orthonormalize,
@@ -85,7 +84,6 @@ __all__ = [
     "image_matrix",
     "joint_normalize",
     "measurements",
-    "min_singular_value",
     "nonspanning_point_from_cp_failure",
     "numerical_rank",
     "onb_union",

@@ -28,12 +28,12 @@ from .frames import (
     full_spark,
     image_matrix,
     rank1_reduction,
-    spanning_at,
 )
 from .linalg import (
     DEFAULT_TOL,
     Field,
     Tolerances,
+    ensure_finite,
     gaussian_matrix,
     null_direction,
     orthogonal_complement_point,
@@ -41,6 +41,7 @@ from .linalg import (
 )
 from .seeding import spawn_rng
 
+_STREAM_SUBSPACE = 3
 _STREAM_SPAN_SEARCH = 4
 _STREAM_FRAME = 9
 
@@ -94,13 +95,15 @@ class Verdict:
 
 @dataclass(frozen=True, eq=False)
 class CounterexampleReport:
-    """Full-spark family where spanning holds but phase retrieval fails."""
+    """Full-spark family where spanning holds but phase retrieval fails.
+
+    spanning_certified: the exact full-spark walk ran and found no
+    deficient n-subset (False past its enumeration cap).
+    """
 
     frame: Frame
     family: ProjectionFamily
     spanning_certified: bool
-    spot_samples: int
-    min_active_inner: int
     witness: PrWitness | None
     status: Status
     method: str
@@ -169,26 +172,25 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
     images); then <P_i y, P_i x> = <y, P_i x> = 0 kills the cross terms,
     so x+y and x-y have identical measurements in either field.  Such a
     pair is phase-equivalent only if y is a unimodular multiple of x,
-    which forces ||P_i x||^2 = <x, P_i x> = 0 for every i.  So when the
-    images have rank 0 (at the default rank_rtol: every image is float
-    dust), y is instead a seeded unit vector orthogonal to x; the seed
-    matters only there.  Over R the phase gap is exactly 1.  Raises
-    ValueError for a zero or spanning x, and RuntimeError when the pair
-    does not re-verify.
+    which forces ||P_i x||^2 = <x, P_i x> = 0 for every i, as with
+    all-zero images at x = e_n.  Only when that first pair does not
+    re-verify is y drawn again, as a seeded unit vector orthogonal to x;
+    the seed matters only there.  Over R the phase gap is exactly 1.
+    Raises ValueError for a zero or spanning x, and RuntimeError when
+    neither pair re-verifies.
     """
-    x = np.asarray(x).reshape(-1)
+    x = ensure_finite(np.asarray(x).reshape(-1), "point")
     nx = np.linalg.norm(x)
     if nx <= tol.proj_tol:
         raise ValueError("x must be nonzero")
     x = x / nx
-    report = spanning_at(p, x, tol)
-    if report.spans:
+    y = null_direction(image_matrix(p, x), tol)
+    if y is None:
         raise ValueError("images of x span the space; no witness arises from x")
-    if report.rank == 0:
-        y = orthogonal_complement_point(x, tol, seed=seed, field=p.field)
-    else:
-        y = null_direction(image_matrix(p, x), tol)
     witness = _certified_pair(p, x + y, x - y, tol)
+    if witness is None:
+        y = orthogonal_complement_point(x, tol, seed=seed, field=p.field)
+        witness = _certified_pair(p, x + y, x - y, tol)
     if witness is None:
         raise RuntimeError("the pair built from x does not re-verify")
     return witness
@@ -390,25 +392,45 @@ def _lifted_stack(p: ProjectionFamily) -> np.ndarray:
     return np.concatenate([np.block([[re, -im], [im, re]]), j[None]])
 
 
+def _search_verdict(p: ProjectionFamily, ops: np.ndarray, cfg: SearchConfig,
+                    method: str) -> Verdict:
+    """Certify the spanning search's candidates on p: (x, w) -> (x+w, x-w).
+
+    The first pair that re-verifies gives FALSIFIED with point x, none
+    gives NO_WITNESS_FOUND.  On ops over R^2n (the lifted stack of a
+    complex family) x and w are complexified and the verdict carries no
+    point: a lifted point need not be a complex non-spanning point.
+    """
+    n = p.dim
+    lifted = ops.shape[1] != n
+    for x, w in _spanning_search(ops, cfg):
+        if lifted:
+            x, w = x[:n] + 1j * x[n:], w[:n] + 1j * w[n:]
+        witness = _certified_pair(p, x + w, x - w, cfg.tol)
+        if witness is not None:
+            return Verdict(Status.FALSIFIED, method=method, witness=witness,
+                           point=None if lifted else x)
+    return Verdict(Status.NO_WITNESS_FOUND, method=method)
+
+
 def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
     """Hunt for a point where the images {P_i x} fail to span.
 
-    Real rank-1 families get an exact verdict through the frame reduction
-    and the complement property.  Everything else is search: each found
-    point x comes with a unit w orthogonal to every P_i x, which makes
-    (x+w, x-w) a witness pair (see pr_witness_from_nonspanning); the
-    first pair that re-verifies is returned with its point.  Exhausting
-    the candidates is reported as inconclusive, never as proof that
-    spanning holds.
+    Real rank-1 families within the complement-property cap get an exact
+    verdict through the frame reduction and the complement property.
+    Everything else is search: each found point x comes with a unit w
+    orthogonal to every P_i x, which makes (x+w, x-w) a witness pair (see
+    pr_witness_from_nonspanning); the first pair that re-verifies is
+    returned with its point.  Exhausting the candidates is reported as
+    inconclusive, never as proof that spanning holds.
     """
     cfg = cfg or SearchConfig()
     if p.field is Field.REAL and all(r == 1 for r in p.ranks):
-        return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol, seed=cfg.seed)
-    for x, w in _spanning_search(p.projections, cfg):
-        witness = _certified_pair(p, x + w, x - w, cfg.tol)
-        if witness is not None:
-            return Verdict(Status.FALSIFIED, method="spanning-search", witness=witness, point=x)
-    return Verdict(Status.NO_WITNESS_FOUND, method="spanning-search")
+        try:
+            return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol, seed=cfg.seed)
+        except CapacityError:
+            pass
+    return _search_verdict(p, p.projections, cfg, "spanning-search")
 
 
 def pr_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
@@ -428,17 +450,7 @@ def pr_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdic
     exact complement-property decision, so the two can be played against
     each other as independent procedures.
     """
-    cfg = cfg or SearchConfig()
-    n = p.dim
-    for x, w in _spanning_search(_lifted_stack(p), cfg):
-        if p.field is Field.COMPLEX:
-            x, w = x[:n] + 1j * x[n:], w[:n] + 1j * w[n:]
-        witness = _certified_pair(p, x + w, x - w, cfg.tol)
-        if witness is not None:
-            point = x if p.field is Field.REAL else None
-            return Verdict(Status.FALSIFIED, method="lifted-spanning",
-                           witness=witness, point=point)
-    return Verdict(Status.NO_WITNESS_FOUND, method="lifted-spanning")
+    return _search_verdict(p, _lifted_stack(p), cfg or SearchConfig(), "lifted-spanning")
 
 
 # ---------------------------------------------------------------------------
@@ -477,31 +489,42 @@ def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 # generators
 
+def _vandermonde(n: int, m: int, field: Field) -> Frame:
+    """Columns (1, t_k, ..., t_k^(n-1)) at fixed distinct nodes t_k.
+
+    Real nodes are the Chebyshev points cos(pi (2k+1) / (2m)), complex
+    nodes the m-th roots of unity exp(2 pi i k / m).
+    """
+    k = np.arange(m)
+    if field is Field.COMPLEX:
+        nodes = np.exp(2j * np.pi * k / m)
+    else:
+        nodes = np.cos(np.pi * (2 * k + 1) / (2 * m))
+    return Frame(np.vander(nodes, N=n, increasing=True).T, field)
+
+
 def gen_full_spark(n: int, m: int, field: Field, tol: Tolerances = DEFAULT_TOL) -> Frame:
     """Vandermonde frame, full spark by construction.
 
     Columns are (1, t_k, t_k^2, ..., t_k^(n-1)) with fixed distinct
-    nodes: t_k = k over the reals, t_k = exp(2 pi i k / m) over the
-    complexes.  Every n-column minor is a Vandermonde determinant with
-    distinct nodes, hence nonzero; this is double-checked numerically
-    when the subset count is within the enumeration cap.
+    nodes: the Chebyshev points t_k = cos(pi (2k+1) / (2m)) over the
+    reals, t_k = exp(2 pi i k / m) over the complexes.  Every n-column
+    minor is a Vandermonde determinant with distinct nodes, hence
+    nonzero; within the enumeration cap this is checked under the rank
+    rule, and a subset the rule calls deficient raises ValueError.
     """
     if m < n:
         raise ValueError(f"full spark needs m >= n; got m={m}, n={n}")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if field is Field.COMPLEX:
-        nodes = np.exp(2j * np.pi * np.arange(m) / m)
-    else:
-        nodes = np.arange(m, dtype=np.float64)
-    cols = np.vander(nodes, N=n, increasing=True).T
-    f = Frame(cols, field)
+    f = _vandermonde(n, m, field)
     try:
         bad = full_spark(f, tol)
     except CapacityError:
         bad = None
     if bad is not None:
-        raise AssertionError(f"Vandermonde construction lost full spark at subset {bad}")
+        raise ValueError(f"Vandermonde frame lost full spark numerically at "
+                         f"subset {[i + 1 for i in bad]}")
     return f
 
 
@@ -516,7 +539,7 @@ def gen_random_projections(n: int, ranks, field: Field, seed: int = 0,
         raise ValueError(f"rank {bad[0]} outside [1, {n}]")
     subs = []
     for i, r in enumerate(ranks):
-        rng = spawn_rng(seed, 3, i)
+        rng = spawn_rng(seed, _STREAM_SUBSPACE, i)
         g = gaussian_matrix(rng, n, r, field)
         subs.append(Subspace(orthonormalize(g, tol), field))
     return ProjectionFamily.from_subspaces(subs, tol)
@@ -534,37 +557,25 @@ def complex_counterexample(n: int, cfg: SearchConfig | None = None) -> Counterex
     Full spark with m = 2n-1 forces, for every nonzero x, at least n of
     the inner products <x, x_i> to be nonzero (x can be orthogonal to at
     most n-1 of them), and those x_i span; so the spanning criterion
-    holds at every point.  Phase retrieval still fails: 2n-1 < n^2 for
-    n >= 2, so a rank-2 indefinite Hermitian Q with tr(Q x_i x_i*) = 0
-    exists, and pr_falsifier's lifted spanning search, run once under
-    cfg, finds the witness pair it factors into.  The report carries
-    both halves plus spot-check statistics, and takes the search
-    verdict's status, witness and method.
+    holds at every point, certified by one exact full-spark walk on the
+    complex Vandermonde frame of gen_full_spark (not past its cap).
+    Phase retrieval still fails: 2n-1 < n^2 for n >= 2, so a rank-2
+    indefinite Hermitian Q with tr(Q x_i x_i*) = 0 exists, and
+    pr_falsifier's lifted spanning search, run once under cfg, finds the
+    witness pair it factors into.  The report takes the search verdict's
+    status, witness and method.
     """
     if n < 2:
         raise ValueError("counterexample needs dimension >= 2")
     cfg = cfg or SearchConfig()
     tol = cfg.tol
-    m = 2 * n - 1
-    f = gen_full_spark(n, m, Field.COMPLEX, tol)
+    f = _vandermonde(n, 2 * n - 1, Field.COMPLEX)
+    try:
+        spanning_certified = full_spark(f, tol) is None
+    except CapacityError:
+        spanning_certified = False
     p = ProjectionFamily.from_frame(f, tol)
-    spanning_certified = full_spark(f, tol) is None
-
-    rng = spawn_rng(cfg.seed, 8)
-    samples = max(cfg.restarts, 32)
-    min_active = m
-    norms = np.linalg.norm(f.vectors, axis=0)
-    for _ in range(samples):
-        x = gaussian_matrix(rng, n, 1, Field.COMPLEX)[:, 0]
-        x /= np.linalg.norm(x)
-        inner = np.abs(f.vectors.conj().T @ x)
-        active = int(np.count_nonzero(inner > 1e-8 * norms))
-        min_active = min(min_active, active)
-        if not spanning_at(p, x, tol).spans:
-            spanning_certified = False
-
     verdict = pr_falsifier(p, cfg)
     return CounterexampleReport(frame=f, family=p, spanning_certified=spanning_certified,
-                                spot_samples=samples, min_active_inner=min_active,
                                 witness=verdict.witness, status=verdict.status,
                                 method=verdict.method)

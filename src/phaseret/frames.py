@@ -341,14 +341,6 @@ def onb_union(p: ProjectionFamily, seed: int = 0) -> Frame:
     return Frame(np.concatenate(cols, axis=1), p.field)
 
 
-def union_owner(p: ProjectionFamily) -> tuple[int, ...]:
-    """Map ONB-union column position -> owning subspace index."""
-    owner = []
-    for i, s in enumerate(p.subspaces):
-        owner.extend([i] * s.dim)
-    return tuple(owner)
-
-
 def rank1_reduction(p: ProjectionFamily, tol: Tolerances = DEFAULT_TOL) -> Frame:
     """Unit vectors spanning the ranges of a rank-1 projection family."""
     bad = [i for i, s in enumerate(p.subspaces) if s.dim != 1]

@@ -131,16 +131,6 @@ def null_direction(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray |
     return np.linalg.svd(a)[0][:, -1]
 
 
-def min_singular_value(m) -> float:
-    """Smallest of the min(rows, cols) singular values."""
-    arr = np.asarray(m)
-    if arr.ndim != 2 or min(arr.shape) == 0:
-        raise ValueError("min_singular_value needs a nonempty 2-D matrix")
-    ensure_finite(arr, "matrix")
-    s = np.linalg.svd(arr, compute_uv=False)
-    return float(s[-1])
-
-
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the column span, via SVD.
 

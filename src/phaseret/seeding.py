@@ -13,7 +13,6 @@ Stream codes used by the library (paths are (root, code, *indices)):
     3  random subspace generation (index: subspace position)
     4  multistart descent starting points
     7  survey trial frames (indices: n, m, trial)
-    8  counterexample spanning spot checks
     9  random frame generation
 
 Reusing a path reproduces the stream bit for bit; distinct paths give

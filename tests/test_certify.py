@@ -146,6 +146,25 @@ def test_witness_from_nonspanning_ignores_seed_when_images_are_not_dust():
     assert verify_pr_witness(p, w0.u, w0.v).valid
 
 
+def test_witness_from_nonspanning_loose_rank_tolerance_uses_null_direction():
+    # at rank_rtol 1e-2 the image (1e-3, 0, 0) counts as rank 0; a y drawn
+    # orthogonal to x alone would miss it, the null direction does not
+    tol = Tolerances(rank_rtol=1e-2)
+    p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0])], tol=tol)
+    w = pr_witness_from_nonspanning(p, np.array([1e-3, 1.0, 0.0]), tol)
+    assert verify_pr_witness(p, w.u, w.v, tol).valid
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_witness_from_nonspanning_zero_images_at_the_null_direction(dtype):
+    # all images vanish at x = e3, whose null direction is x itself: the
+    # first pair is phase-equivalent, so y is drawn orthogonal to x
+    p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0]).astype(dtype)])
+    w = pr_witness_from_nonspanning(p, np.array([0.0, 0.0, 1.0], dtype=dtype))
+    chk = verify_pr_witness(p, w.u, w.v)
+    assert chk.valid and chk.phase_gap > 0.5
+
+
 # ---------------------------------------------------------------------------
 # exact real decision
 
@@ -222,6 +241,26 @@ def test_spanning_falsifier_search_path():
     rng = np.random.default_rng(0)
     stack = random_projection_stack(rng, 3, [1, 2], Field.COMPLEX)
     p = ProjectionFamily.from_projections(stack, Field.COMPLEX)
+    v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
+    assert v.status is Status.FALSIFIED and v.method == "spanning-search"
+    assert spanning_at(p, v.point).spans is False
+    assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+
+
+def test_spanning_falsifier_past_cap_searches_generic_frame():
+    # m = 30 > 24: no complement-property enumeration, the search runs instead
+    p = ProjectionFamily.from_frame(gen_random_frame(3, 30, Field.REAL, seed=0))
+    v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
+    assert v.status is Status.NO_WITNESS_FOUND and v.method == "spanning-search"
+
+
+def test_spanning_falsifier_past_cap_finds_planted_point():
+    # 29 vectors in the plane x3 = 0 plus one generic vector: every point
+    # orthogonal to the last vector has its images in that plane
+    rng = np.random.default_rng(0)
+    cols = np.hstack([np.vstack([rng.standard_normal((2, 29)), np.zeros((1, 29))]),
+                      rng.standard_normal((3, 1))])
+    p = ProjectionFamily.from_frame(Frame(cols, Field.REAL))
     v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
     assert v.status is Status.FALSIFIED and v.method == "spanning-search"
     assert spanning_at(p, v.point).spans is False
@@ -398,8 +437,19 @@ def test_hermitian_witness_full_spark_n6_returns_orthogonal_pair(seed):
 def test_gen_full_spark_real_nodes():
     f = gen_full_spark(3, 5, Field.REAL)
     np.testing.assert_allclose(f.vectors[0], 1.0)
-    np.testing.assert_allclose(f.vectors[1], np.arange(5.0))
+    np.testing.assert_allclose(f.vectors[1], np.cos(np.pi * (2 * np.arange(5) + 1) / 10))
     assert full_spark(f) is None
+
+
+def test_gen_full_spark_real_keeps_full_spark_at_larger_n():
+    # sizes where equispaced nodes put minors under the rank rule
+    for n, m in ((7, 13), (8, 10), (9, 17)):
+        assert full_spark(gen_full_spark(n, m, Field.REAL)) is None
+
+
+def test_gen_full_spark_names_the_subset_the_rank_rule_rejects():
+    with pytest.raises(ValueError, match=r"subset \[1, 2, 3\]"):
+        gen_full_spark(3, 5, Field.REAL, Tolerances(rank_rtol=0.5))
 
 
 def test_gen_full_spark_complex_roots():
@@ -483,10 +533,27 @@ def test_complex_counterexample_smoke():
     assert rep.status is Status.FALSIFIED
     assert rep.frame.size == 3 and rep.frame.dim == 2
     assert rep.spanning_certified is True
-    assert rep.min_active_inner >= 2
     p = rep.family
     chk = verify_pr_witness(p, rep.witness.u, rep.witness.v)
     assert chk.valid and chk.max_mismatch < 1e-9 and chk.phase_gap > 1e-3
+
+
+def test_complex_counterexample_walks_the_subsets_once(monkeypatch):
+    calls = []
+
+    def counting_full_spark(f, tol):
+        calls.append(f.size)
+        return full_spark(f, tol)
+
+    monkeypatch.setattr(certify, "full_spark", counting_full_spark)
+    rep = complex_counterexample(3, SearchConfig(restarts=16))
+    assert rep.spanning_certified is True and calls == [5]
+
+
+def test_complex_counterexample_past_cap_is_not_certified():
+    # C(25, 13) = 5200300 subsets exceed the full-spark cap: no certificate
+    rep = complex_counterexample(13, SearchConfig(restarts=1, max_iters=1))
+    assert rep.spanning_certified is False and rep.frame.size == 25
 
 
 @pytest.mark.parametrize("seed", [0, 7])

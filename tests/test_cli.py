@@ -161,6 +161,28 @@ def test_gen_counterexample(tmp_path, capsys):
     assert f.dim == 2 and f.size == 3 and f.field is pr.Field.COMPLEX
 
 
+def test_gen_full_spark_lost_spark_is_a_one_line_error(capsys):
+    assert main(["gen", "--kind", "full-spark", "--n", "3", "--m", "5",
+                 "--tol-rank", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "subset" in err and err.count("\n") == 1
+
+
+def _m30_real_frame(tmp_path):
+    return write_frame(tmp_path, pr.gen_random_frame(3, 30, pr.Field.REAL, seed=0))
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["gen", "--kind", "counterexample", "--n", "13", "--restarts", "1",
+                 "--iters", "1"],
+    lambda tmp: ["falsify", _m30_real_frame(tmp), "--mode", "spanning", "--restarts", "16"],
+    lambda tmp: ["gen", "--kind", "full-spark", "--n", "8", "--m", "10", "--field", "real"],
+], ids=["counterexample-past-spark-cap", "spanning-past-cp-cap", "real-full-spark-n8"])
+def test_valid_input_never_exits_2(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) in (0, 1, 3)
+    assert capsys.readouterr().err == ""
+
+
 def test_gen_stdout_json(capsys):
     assert main(["gen", "--kind", "full-spark", "--n", "2", "--m", "3",
                  "--field", "real"]) == 0

@@ -7,7 +7,6 @@ from phaseret import (
     Field,
     FieldError,
     Tolerances,
-    min_singular_value,
     numerical_rank,
     orthogonal_complement_point,
     orthonormalize,
@@ -77,11 +76,6 @@ def test_numerical_rank_relative_cutoff():
     # below rank_rtol * sigma_max * max(shape) it is treated as noise
     m = np.diag([1.0, 1e-12])
     assert numerical_rank(m) == 1
-
-
-def test_min_singular_value():
-    assert min_singular_value(np.diag([3.0, 0.5])) == pytest.approx(0.5)
-    assert min_singular_value(np.zeros((2, 2))) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
