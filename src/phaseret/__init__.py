@@ -15,7 +15,6 @@ from .linalg import (
     Field,
     Tolerances,
     numerical_rank,
-    orthogonal_complement_point,
     orthonormalize,
     projector_from_basis,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "nonspanning_point_from_cp_failure",
     "numerical_rank",
     "onb_union",
-    "orthogonal_complement_point",
     "orthonormalize",
     "phase_gap",
     "pr_falsifier",

@@ -36,7 +36,6 @@ from .linalg import (
     ensure_finite,
     gaussian_matrix,
     null_direction,
-    orthogonal_complement_point,
     orthonormalize,
 )
 from .seeding import spawn_rng
@@ -164,8 +163,7 @@ def _certified_pair(p: ProjectionFamily, u, v, tol: Tolerances) -> PrWitness | N
     return PrWitness(u, v, check.max_mismatch, check.phase_gap)
 
 
-def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL,
-                                seed: int = 0) -> PrWitness:
+def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL) -> PrWitness:
     """Witness pair (x+y, x-y) from a point whose images fail to span.
 
     y is a unit vector orthogonal to every P_i x (null_direction of the
@@ -174,10 +172,10 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
     pair is phase-equivalent only if y is a unimodular multiple of x,
     which forces ||P_i x||^2 = <x, P_i x> = 0 for every i, as with
     all-zero images at x = e_n.  Only when that first pair does not
-    re-verify is y drawn again, as a seeded unit vector orthogonal to x;
-    the seed matters only there.  Over R the phase gap is exactly 1.
-    Raises ValueError for a zero or spanning x, and RuntimeError when
-    neither pair re-verifies.
+    re-verify is y taken again, as the null direction of x alone: when
+    every image vanishes, any unit y orthogonal to x gives a pair.  Over
+    R the phase gap is exactly 1.  Raises ValueError for a zero or
+    spanning x, and RuntimeError when neither pair re-verifies.
     """
     x = ensure_finite(np.asarray(x).reshape(-1), "point")
     nx = np.linalg.norm(x)
@@ -188,29 +186,28 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
     if y is None:
         raise ValueError("images of x span the space; no witness arises from x")
     witness = _certified_pair(p, x + y, x - y, tol)
-    if witness is None:
-        y = orthogonal_complement_point(x, tol, seed=seed, field=p.field)
+    if witness is None and (y := null_direction(x[:, None], tol)) is not None:
         witness = _certified_pair(p, x + y, x - y, tol)
     if witness is None:
         raise RuntimeError("the pair built from x does not re-verify")
     return witness
 
 
-def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
-                      seed: int = 0) -> Verdict:
+def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) -> Verdict:
     """Exact phase-retrieval decision for a real frame (rank-1 projections).
 
     The complement property is decidable by finite enumeration and, over
     the reals, equivalent to phase retrieval by the frame's rank-1
     projections.  A failing bipartition is converted into a verified
-    witness pair: x is a seeded unit vector orthogonal to side I, so its
-    images vanish on side I and lie in the span of side I^c, which does
-    not span; pr_witness_from_nonspanning turns x into the pair.  The
-    verdict's point is x.  Under a loose rank_rtol a side can count as
-    rank-deficient without any direction orthogonal to it within
-    proj_tol, or the pair can fail to re-verify; the failure is still
-    certified, and the verdict then carries its partition but no witness
-    or point.  No complex analogue exists; complex input is rejected.
+    witness pair: x is the null direction of side I, so its images vanish
+    on side I and lie in the span of side I^c, which does not span;
+    pr_witness_from_nonspanning turns x into the pair.  The verdict's
+    point is x, a function of the frame and tol alone.  Under a loose
+    rank_rtol a side can count as rank-deficient while x is only nearly
+    orthogonal to it, and the pair can fail to re-verify; the failure is
+    still certified, and the verdict then carries its partition but no
+    witness or point.  No complex analogue exists; complex input is
+    rejected.
     """
     if f.field is not Field.REAL:
         raise FieldError("exact complement-property decision applies to real frames only")
@@ -218,9 +215,11 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24,
     if w is None:
         return Verdict(Status.CERTIFIED_HOLDS, method="complement-property")
     p = ProjectionFamily.from_frame(f, tol)
+    # never None: image_rank's cutoff is at least numerical_rank's on the
+    # same columns, and CP found rank_I < n
+    x = null_direction(f.vectors[:, list(w.side_I)], tol)
     try:
-        x = orthogonal_complement_point(f.vectors[:, list(w.side_I)], tol, seed=seed)
-        witness = pr_witness_from_nonspanning(p, x, tol, seed)
+        witness = pr_witness_from_nonspanning(p, x, tol)
     except (ValueError, RuntimeError):
         return Verdict(Status.CERTIFIED_FAILS, method="complement-property", partition=w)
     return Verdict(Status.CERTIFIED_FAILS, method="complement-property",
@@ -337,11 +336,6 @@ def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarra
     return best_x
 
 
-def _orthogonal_direction(ops: np.ndarray, x: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """Unit w orthogonal to every A_j x when those images fail to span, else None."""
-    return null_direction((ops @ x).T, tol)
-
-
 def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
     """Yield (x, w): unit points whose images [A_1 x ... A_k x] fail to span.
 
@@ -349,7 +343,7 @@ def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
     four generic spot checks, then from a multi-start descent on
     sigma_min whose best endpoints are polished by Gauss-Newton.  The
     descent runs at most cfg.max_iters iterations: it stops once its best
-    point fails to span by the rank rule of _orthogonal_direction, and
+    point fails to span by the rank rule of null_direction, and
     restarts that stop improving freeze on their own (see _descent).
     With fewer operators than dimensions no point spans, so the spot
     checks are all there is.  Callers take the first candidate they
@@ -361,7 +355,7 @@ def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
     for _ in range(4):
         x = gaussian_matrix(rng, d, 1, field)[:, 0]
         x /= np.linalg.norm(x)
-        w = _orthogonal_direction(ops, x, cfg.tol)
+        w = null_direction((ops @ x).T, cfg.tol)
         if w is not None:
             yield x, w
     if k < d:
@@ -369,10 +363,10 @@ def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
     r = cfg.restarts
     X = _unit_rows(gaussian_matrix(rng, r, d, field).reshape(r, d))
     for X, val in _descent(lambda X_: _sigma_eval(ops, X_), X, cfg,
-                           lambda x: _orthogonal_direction(ops, x, cfg.tol) is not None):
+                           lambda x: null_direction((ops @ x).T, cfg.tol) is not None):
         for idx in np.argsort(val, kind="stable")[:8]:
             x = _polish_point(ops, X[idx])
-            w = _orthogonal_direction(ops, x, cfg.tol)
+            w = null_direction((ops @ x).T, cfg.tol)
             if w is not None:
                 yield x, w
 
@@ -427,7 +421,7 @@ def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> 
     cfg = cfg or SearchConfig()
     if p.field is Field.REAL and all(r == 1 for r in p.ranks):
         try:
-            return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol, seed=cfg.seed)
+            return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol)
         except CapacityError:
             pass
     return _search_verdict(p, p.projections, cfg, "spanning-search")
@@ -489,42 +483,51 @@ def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 # generators
 
-def _vandermonde(n: int, m: int, field: Field) -> Frame:
-    """Columns (1, t_k, ..., t_k^(n-1)) at fixed distinct nodes t_k.
+def _full_spark_frame(n: int, m: int, field: Field) -> Frame:
+    """The fixed full-spark frame of gen_full_spark, before its check.
 
-    Real nodes are the Chebyshev points cos(pi (2k+1) / (2m)), complex
-    nodes the m-th roots of unity exp(2 pi i k / m).
+    Complex: Vandermonde columns (1, t_j, ..., t_j^(n-1)) at the m-th
+    roots of unity t_j = exp(2 pi i j / m).  Real: the harmonic frame at
+    theta_j = 2 pi j / m, with rows 1, cos(k theta), sin(k theta) for
+    k = 1..(n-1)/2 when n is odd, and cos((k+1/2) theta),
+    sin((k+1/2) theta) for k = 0..n/2-1 when n is even.
     """
-    k = np.arange(m)
+    j = np.arange(m)
     if field is Field.COMPLEX:
-        nodes = np.exp(2j * np.pi * k / m)
-    else:
-        nodes = np.cos(np.pi * (2 * k + 1) / (2 * m))
-    return Frame(np.vander(nodes, N=n, increasing=True).T, field)
+        return Frame(np.vander(np.exp(2j * np.pi * j / m), N=n, increasing=True).T, field)
+    theta = 2 * np.pi * j / m
+    freqs = np.arange(1, (n + 1) // 2) if n % 2 else np.arange(n // 2) + 0.5
+    phases = np.outer(freqs, theta)
+    rows = np.stack([np.cos(phases), np.sin(phases)], axis=1).reshape(-1, m)
+    if n % 2:
+        rows = np.vstack([np.ones(m), rows])
+    return Frame(rows, field)
 
 
 def gen_full_spark(n: int, m: int, field: Field, tol: Tolerances = DEFAULT_TOL) -> Frame:
-    """Vandermonde frame, full spark by construction.
+    """Fixed frame that is full spark by construction (see _full_spark_frame).
 
-    Columns are (1, t_k, t_k^2, ..., t_k^(n-1)) with fixed distinct
-    nodes: the Chebyshev points t_k = cos(pi (2k+1) / (2m)) over the
-    reals, t_k = exp(2 pi i k / m) over the complexes.  Every n-column
-    minor is a Vandermonde determinant with distinct nodes, hence
-    nonzero; within the enumeration cap this is checked under the rank
-    rule, and a subset the rule calls deficient raises ValueError.
+    Complex: every n-column minor is a Vandermonde determinant on
+    distinct roots of unity, hence nonzero.  Real: a column set of rank
+    below n would give a nonzero real trigonometric polynomial in the
+    frame's frequencies vanishing at n distinct angles in [0, 2 pi), and
+    such a polynomial has at most n-1 zeros there (for half-integer
+    frequencies, at most n-1 in theta/2 over [0, pi), since it changes
+    sign under theta -> theta + 2 pi).  Within the enumeration cap this
+    is checked under the rank rule, and a subset the rule calls
+    deficient raises ValueError.
     """
     if m < n:
         raise ValueError(f"full spark needs m >= n; got m={m}, n={n}")
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    f = _vandermonde(n, m, field)
+    f = _full_spark_frame(n, m, field)
     try:
         bad = full_spark(f, tol)
     except CapacityError:
         bad = None
     if bad is not None:
-        raise ValueError(f"Vandermonde frame lost full spark numerically at "
-                         f"subset {[i + 1 for i in bad]}")
+        raise ValueError(f"frame lost full spark numerically at subset {[i + 1 for i in bad]}")
     return f
 
 
@@ -569,7 +572,7 @@ def complex_counterexample(n: int, cfg: SearchConfig | None = None) -> Counterex
         raise ValueError("counterexample needs dimension >= 2")
     cfg = cfg or SearchConfig()
     tol = cfg.tol
-    f = _vandermonde(n, 2 * n - 1, Field.COMPLEX)
+    f = _full_spark_frame(n, 2 * n - 1, Field.COMPLEX)
     try:
         spanning_certified = full_spark(f, tol) is None
     except CapacityError:

@@ -187,9 +187,10 @@ def _cmd_gen(args, argv, started) -> int:
             raise ValueError("--kind full-spark needs --m")
         f = gen_full_spark(args.n, args.m, field, tol)
         obj = serialize.frame_to_dict(f)
+        how = ("Vandermonde on the m-th roots of unity" if field is Field.COMPLEX
+               else "harmonic frame at angles 2 pi j / m")
         print(f"generated full-spark frame: n = {f.dim}, m = {f.size}, "
-              f"field = {field.value}; full spark by construction "
-              "(distinct Vandermonde nodes)")
+              f"field = {field.value}; full spark by construction ({how})")
     elif args.kind == "counterexample":
         cfg = _search_config(args, tol, seed)
         rep = complex_counterexample(args.n, cfg)

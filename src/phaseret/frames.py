@@ -25,8 +25,8 @@ from .linalg import (
     haar_rotation,
     image_rank,
     max_abs,
+    null_direction,
     numerical_rank,
-    orthogonal_complement_point,
     projector_from_basis,
     rank_cutoff,
 )
@@ -352,14 +352,14 @@ def rank1_reduction(p: ProjectionFamily, tol: Tolerances = DEFAULT_TOL) -> Frame
 
 
 def nonspanning_point_from_cp_failure(p: ProjectionFamily, f: Frame, w: PartitionWitness,
-                                      tol: Tolerances = DEFAULT_TOL,
-                                      seed: int = 0) -> np.ndarray:
+                                      tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Turn a failed ONB union into a point where spanning fails.
 
     f must be an ONB union of p and w a bipartition of f where neither
-    side spans.  The returned unit x is orthogonal to the side-I columns;
-    each P_i x then lies in the span of that subspace's side-I^c columns,
-    which cannot span, so spanning_at(p, x) fails.
+    side spans.  The returned unit x is the null direction of the side-I
+    columns, so it is orthogonal to them; each P_i x then lies in the
+    span of that subspace's side-I^c columns, which cannot span, so
+    spanning_at(p, x) fails.
     """
     n = f.dim
     if max(w.side_I, default=-1) >= f.size or max(w.side_Ic, default=-1) >= f.size:
@@ -367,10 +367,7 @@ def nonspanning_point_from_cp_failure(p: ProjectionFamily, f: Frame, w: Partitio
     side = f.vectors[:, list(w.side_I)]
     if w.side_I and numerical_rank(side, tol) == n:
         raise ValueError("witness side I spans the space; not a valid failure certificate")
-    if w.side_I:
-        x = orthogonal_complement_point(side, tol, seed=seed, field=f.field)
-    else:
-        x = orthogonal_complement_point(None, tol, seed=seed, field=f.field, dim=n)
+    x = null_direction(side, tol)
     report = spanning_at(p, x, tol)
     if report.spans:
         raise ValueError("constructed point spans; frame is not an ONB union of this family")

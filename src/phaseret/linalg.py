@@ -15,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError
-from .seeding import spawn_rng
-
-_STREAM_COMPLEMENT = 1
 
 
 class Field(enum.Enum):
@@ -122,9 +119,11 @@ def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 def null_direction(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Unit vector orthogonal to the columns of a when they fail to span, else None.
 
-    a holds the images of a unit point (see image_rank); the direction is
-    the last column of the full left singular basis, so with fewer
-    columns than rows it lies past the last singular value.
+    a holds the images of a unit point, or columns of comparable scale
+    (see image_rank); the direction is the last column of the full left
+    singular basis, the one of smallest residual |a* y|.  With fewer
+    columns than rows it lies past the last singular value, and with no
+    columns it is the last standard basis vector.
     """
     if image_rank(a, tol) == a.shape[0]:
         return None
@@ -165,54 +164,6 @@ def projector_from_basis(onb, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if resid >= tol.proj_tol:
         raise ValueError(f"basis columns are not orthonormal (Gram residual {resid:.3e})")
     return b @ b.conj().T
-
-
-def orthogonal_complement_point(
-    vectors,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    field: Field | None = None,
-    dim: int | None = None,
-) -> np.ndarray:
-    """Unit vector orthogonal to every input column.
-
-    The input columns must span a proper subspace.  The result is produced
-    by completing the columns with seeded random draws and orthogonalizing,
-    so it is deterministic per seed.  `vectors` may have zero columns, in
-    which case `dim` and `field` fix the ambient space.
-    """
-    arr = None if vectors is None else np.asarray(vectors)
-    if arr is not None and arr.ndim == 1:
-        arr = arr[:, None]
-    if arr is not None and arr.size:
-        ensure_finite(arr, "vectors")
-    if arr is None or arr.shape[1] == 0 or np.max(np.abs(arr)) == 0.0:
-        basis = None
-        n = dim if dim is not None else (arr.shape[0] if arr is not None else None)
-        if n is None:
-            raise ValueError("empty input needs an explicit dim")
-        fld = field if field is not None else (Field.infer(arr) if arr is not None else Field.REAL)
-    else:
-        basis = orthonormalize(arr, tol)
-        n = arr.shape[0]
-        fld = field if field is not None else Field.infer(arr)
-        if basis.shape[1] >= n:
-            raise ValueError("columns already span the whole space; no orthogonal complement")
-
-    rng = spawn_rng(seed, _STREAM_COMPLEMENT)
-    for _ in range(64):
-        g = gaussian_matrix(rng, n, 1, fld)[:, 0]
-        if basis is not None:
-            g = g - basis @ (basis.conj().T @ g)
-        norm = np.linalg.norm(g)
-        if norm > 1e-8:
-            y = g / norm
-            if arr is not None and arr.shape[1]:
-                worst = np.max(np.abs(arr.conj().T @ y))
-                if worst >= tol.proj_tol:
-                    continue
-            return y
-    raise ValueError("could not produce a complement direction; input may span the space")
 
 
 def gaussian_matrix(rng: np.random.Generator, n: int, k: int, field: Field) -> np.ndarray:

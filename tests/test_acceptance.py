@@ -154,7 +154,7 @@ def test_acceptance_2_forward_construction():
             seed = 2000 + k
             p, x = _planted_nonspanning(field, seed)
             assert spanning_at(p, x).spans is False  # planted ground truth
-            w = pr_witness_from_nonspanning(p, x, seed=seed)
+            w = pr_witness_from_nonspanning(p, x)
             if not (w.max_mismatch < 1e-12):
                 failures.append((field.value, k, w.max_mismatch))
     report(2, not failures and total == 100,
@@ -181,12 +181,12 @@ def test_acceptance_3_union_cp_machinery():
                 continue
             exercised += 1
             try:
-                x = nonspanning_point_from_cp_failure(p, f, w, seed=j)
+                x = nonspanning_point_from_cp_failure(p, f, w)
                 rep = spanning_at(p, x)
                 if not (rep.spans is False and rep.rank < n):
                     exceptions.append((k, j, "point still spans"))
                     continue
-                wit = pr_witness_from_nonspanning(p, x, seed=j)
+                wit = pr_witness_from_nonspanning(p, x)
                 chk = verify_pr_witness(p, wit.u, wit.v)
                 if not chk.valid:
                     exceptions.append((k, j, "witness failed verification"))
@@ -254,7 +254,7 @@ def test_acceptance_5_complex_forward():
         seed = 5000 + k
         p, x = _planted_nonspanning(Field.COMPLEX, seed)
         assert spanning_at(p, x).spans is False
-        w = pr_witness_from_nonspanning(p, x, seed=seed)
+        w = pr_witness_from_nonspanning(p, x)
         chk = verify_pr_witness(p, w.u, w.v)
         if not chk.valid:
             failures.append((k, chk.max_mismatch, chk.phase_gap))

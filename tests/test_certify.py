@@ -30,7 +30,12 @@ from phaseret import (
 import phaseret.certify as certify
 from phaseret.certify import _lifted_stack
 
-from conftest import random_projection_stack, random_unit_columns, stack_sigma_and_grad
+from conftest import (
+    brute_full_spark,
+    random_projection_stack,
+    random_unit_columns,
+    stack_sigma_and_grad,
+)
 
 AXES = Frame(np.eye(2), Field.REAL)
 MERCEDES = Frame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), Field.REAL)
@@ -127,7 +132,7 @@ def test_witness_from_nonspanning_zero_images():
 
 
 def test_witness_from_nonspanning_zero_images_complex():
-    # complex rank-0 branch: y is drawn orthogonal to x, never a phase of it
+    # complex rank-0 branch: y is taken orthogonal to x, never a phase of it
     p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0]).astype(complex)])
     assert p.field is Field.COMPLEX
     w = pr_witness_from_nonspanning(p, np.array([0.0, 1.0, 0.0], dtype=complex))
@@ -135,12 +140,12 @@ def test_witness_from_nonspanning_zero_images_complex():
     assert chk.valid and chk.phase_gap > 0.5
 
 
-def test_witness_from_nonspanning_ignores_seed_when_images_are_not_dust():
-    # the images have rank 1, so y is the null direction and no draw is made
+def test_witness_from_nonspanning_is_deterministic():
+    # y is the null direction of the images: no draw, so two calls agree
     p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0])])
     x = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    w0 = pr_witness_from_nonspanning(p, x, seed=0)
-    w1 = pr_witness_from_nonspanning(p, x, seed=1)
+    w0 = pr_witness_from_nonspanning(p, x)
+    w1 = pr_witness_from_nonspanning(p, x)
     np.testing.assert_array_equal(w0.u, w1.u)
     np.testing.assert_array_equal(w0.v, w1.v)
     assert verify_pr_witness(p, w0.u, w0.v).valid
@@ -155,10 +160,19 @@ def test_witness_from_nonspanning_loose_rank_tolerance_uses_null_direction():
     assert verify_pr_witness(p, w.u, w.v, tol).valid
 
 
+def test_witness_from_nonspanning_dimension_one_has_no_second_direction():
+    # 100 copies of P = [1] count as rank 0 at rank_rtol 1e-2, but R^1 has
+    # no direction orthogonal to x, so no pair exists
+    tol = Tolerances(rank_rtol=1e-2)
+    p = ProjectionFamily.from_projections([np.eye(1)] * 100, tol=tol)
+    with pytest.raises(RuntimeError):
+        pr_witness_from_nonspanning(p, np.array([1.0]), tol)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_witness_from_nonspanning_zero_images_at_the_null_direction(dtype):
     # all images vanish at x = e3, whose null direction is x itself: the
-    # first pair is phase-equivalent, so y is drawn orthogonal to x
+    # first pair is phase-equivalent, so y is taken orthogonal to x
     p = ProjectionFamily.from_projections([np.diag([1.0, 0.0, 0.0]).astype(dtype)])
     w = pr_witness_from_nonspanning(p, np.array([0.0, 0.0, 1.0], dtype=dtype))
     chk = verify_pr_witness(p, w.u, w.v)
@@ -212,7 +226,8 @@ def test_decide_capacity():
 
 def test_decide_loose_rank_tolerance_keeps_partition_without_witness():
     # at rank_rtol 1e-2 the first two vectors count as one line, so {1, 2} | {3}
-    # fails; no direction is orthogonal to both within proj_tol, so no pair
+    # fails; the null direction of {1, 2} is only nearly orthogonal to the
+    # second vector, so the pair built from it fails re-verification
     frame = Frame(np.array([[1.0, 1.0, 0.0], [0.0, 1e-5, 1.0]]), Field.REAL)
     v = decide_real_rank1(frame, Tolerances(rank_rtol=1e-2))
     assert v.status is Status.CERTIFIED_FAILS and v.method == "complement-property"
@@ -229,6 +244,18 @@ def test_spanning_falsifier_delegates_for_real_rank1():
     assert v.status is Status.CERTIFIED_FAILS
     assert v.method == "complement-property"
     assert v.point is not None and spanning_at(p, v.point).spans is False
+
+
+def test_spanning_falsifier_certified_evidence_does_not_depend_on_seed():
+    # m = 4 < 2n - 1: CP fails, and the exact decision draws nothing
+    p = ProjectionFamily.from_frame(gen_random_frame(3, 4, Field.REAL, seed=0))
+    a = spanning_falsifier(p, SearchConfig(seed=0))
+    b = spanning_falsifier(p, SearchConfig(seed=1))
+    assert a.status is b.status is Status.CERTIFIED_FAILS
+    np.testing.assert_array_equal(a.point, b.point)
+    np.testing.assert_array_equal(a.witness.u, b.witness.u)
+    np.testing.assert_array_equal(a.witness.v, b.witness.v)
+    assert verify_pr_witness(p, a.witness.u, a.witness.v).valid
 
 
 def test_spanning_falsifier_certifies_holds():
@@ -435,10 +462,24 @@ def test_hermitian_witness_full_spark_n6_returns_orthogonal_pair(seed):
 # generators
 
 def test_gen_full_spark_real_nodes():
+    # harmonic frame at theta_j = 2 pi j / m: odd n gets 1, cos k theta, sin k theta
+    theta = 2 * np.pi * np.arange(5) / 5
     f = gen_full_spark(3, 5, Field.REAL)
-    np.testing.assert_allclose(f.vectors[0], 1.0)
-    np.testing.assert_allclose(f.vectors[1], np.cos(np.pi * (2 * np.arange(5) + 1) / 10))
+    np.testing.assert_allclose(f.vectors, [np.ones(5), np.cos(theta), np.sin(theta)], atol=1e-15)
     assert full_spark(f) is None
+    # even n gets half-integer frequencies
+    theta = 2 * np.pi * np.arange(6) / 6
+    f = gen_full_spark(4, 6, Field.REAL)
+    np.testing.assert_allclose(f.vectors, [np.cos(theta / 2), np.sin(theta / 2),
+                                           np.cos(1.5 * theta), np.sin(1.5 * theta)], atol=1e-15)
+    assert full_spark(f) is None
+
+
+def test_gen_full_spark_real_n10_m22_first_subset_has_full_rank():
+    # the subset the Chebyshev-node Vandermonde frame lost under the rank
+    # rule; the whole walk at this size takes seconds, this one minor does not
+    f = certify._full_spark_frame(10, 22, Field.REAL)
+    assert brute_full_spark(f.vectors[:, :10], rtol=Tolerances().rank_rtol) is None
 
 
 def test_gen_full_spark_real_keeps_full_spark_at_larger_n():

@@ -6,6 +6,7 @@ from phaseret import (
     CapacityError,
     Field,
     Frame,
+    PartitionWitness,
     ProjectionFamily,
     Tolerances,
     complement_property,
@@ -346,10 +347,20 @@ def test_nonspanning_point_axes_example():
 def test_nonspanning_point_rejects_spanning_side():
     f = real_frame([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     p = ProjectionFamily.from_frame(f)
-    from phaseret import PartitionWitness
     fake = PartitionWitness(side_I=(0, 1), side_Ic=(2,), rank_I=2, rank_Ic=1)
     with pytest.raises(ValueError):
         nonspanning_point_from_cp_failure(p, f, fake)
+
+
+def test_nonspanning_point_empty_side_is_a_unit_point():
+    # side I = () is orthogonal to everything; two vectors in R^3 span at no point
+    f = real_frame([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    p = ProjectionFamily.from_frame(f)
+    w = PartitionWitness(side_I=(), side_Ic=(0, 1), rank_I=0, rank_Ic=2)
+    x = nonspanning_point_from_cp_failure(p, f, w)
+    assert x.shape == (3,)
+    np.testing.assert_allclose(np.linalg.norm(x), 1.0, atol=1e-12)
+    assert spanning_at(p, x).spans is False
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,6 +376,6 @@ def test_nonspanning_point_always_breaks_spanning(n, seed):
     w = complement_property(f)
     assert w is not None
     p = ProjectionFamily.from_frame(f)
-    x = nonspanning_point_from_cp_failure(p, f, w, seed=seed)
+    x = nonspanning_point_from_cp_failure(p, f, w)
     rep = spanning_at(p, x)
     assert rep.spans is False and rep.rank < n

@@ -8,11 +8,17 @@ from phaseret import (
     FieldError,
     Tolerances,
     numerical_rank,
-    orthogonal_complement_point,
     orthonormalize,
     projector_from_basis,
 )
-from phaseret.linalg import as_field_array, ensure_finite, gaussian_matrix, haar_rotation, max_abs
+from phaseret.linalg import (
+    as_field_array,
+    ensure_finite,
+    gaussian_matrix,
+    haar_rotation,
+    max_abs,
+    null_direction,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +151,26 @@ def test_projector_from_basis_rejects_non_onb():
         projector_from_basis(np.array([[1.0], [1.0]]))
 
 
-def test_orthogonal_complement_point_hand_case():
-    y = orthogonal_complement_point(np.array([[1.0], [1.0]]))
-    y = y / np.linalg.norm(y)
+def test_null_direction_hand_case():
+    y = null_direction(np.array([[1.0], [1.0]]))
+    np.testing.assert_allclose(np.linalg.norm(y), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.abs(y), [2 ** -0.5] * 2, atol=1e-10)
     assert abs(y[0] + y[1]) < 1e-10
 
 
-def test_orthogonal_complement_point_full_span_fails():
-    with pytest.raises(ValueError):
-        orthogonal_complement_point(np.eye(2))
-
-
-def test_orthogonal_complement_point_empty_needs_dim():
-    y = orthogonal_complement_point(None, field=Field.COMPLEX, dim=3)
-    assert y.shape == (3,)
-    assert np.linalg.norm(y) > 0
+def test_null_direction_full_span_is_none():
+    assert null_direction(np.eye(2)) is None
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.booleans(), st.integers(0, 10 ** 6))
-def test_orthogonal_complement_point_is_orthogonal(n, cplx, seed):
+def test_null_direction_is_orthogonal(n, cplx, seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, n))
     cols = rng.standard_normal((n, k))
     if cplx:
         cols = cols + 1j * rng.standard_normal((n, k))
-    y = orthogonal_complement_point(cols, seed=seed)
+    y = null_direction(cols)
     assert np.max(np.abs(cols.conj().T @ y)) < 1e-8 * np.linalg.norm(y) * np.max(
         np.linalg.norm(cols, axis=0))
 
