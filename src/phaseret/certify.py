@@ -255,6 +255,7 @@ _STEP_GROW = 1.25
 _STEP_SHRINK = 0.5
 _FREEZE_WINDOW = 25
 _FREEZE_RTOL = 1e-3
+_POLISH_HALVINGS = 10
 
 
 def _descent(value_grad, X, cfg: SearchConfig, solved):
@@ -313,27 +314,34 @@ def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarra
     least-squares solve, and the minimum-norm step converges
     quadratically onto a nearby solution; exact alternating minimization
     only crawls along curved zero sets such as the lifted complex ones.
-    Stops at the first step that fails to shrink the residual and returns
-    the best point seen.
+    On ill-conditioned stacks a full step can overshoot from a start that
+    is not yet close, so each round takes the longest of the step and its
+    first _POLISH_HALVINGS halvings that shrinks the residual by a factor
+    1 - t/2 at step fraction t (a sufficient decrease: slow creeping
+    near a residual floor ends the polish instead of spending its
+    rounds).  The polish stops when no fraction qualifies and returns the
+    best point seen.
     """
     d = ops.shape[1]
     x = x / np.linalg.norm(x)
     w = np.linalg.svd((ops @ x).T)[0][:, -1]
-    best, best_x = np.inf, x
+    a = ops @ x  # row j is A_j x
+    best = float(np.linalg.norm(a @ w.conj()))
+    frac = 0.5 ** np.arange(_POLISH_HALVINGS + 1)
     for _ in range(rounds):
-        a = ops @ x  # row j is A_j x
-        f = a @ w.conj()
-        res = float(np.linalg.norm(f))
-        if res >= best:
-            break
-        best, best_x = res, x
         jac = np.concatenate([w.conj() @ ops, a], axis=1)
-        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        x = x + step[:d]
-        x /= np.linalg.norm(x)
-        w = w + step[d:].conj()
-        w /= np.linalg.norm(w)
-    return best_x
+        step = np.linalg.lstsq(jac, -(a @ w.conj()), rcond=None)[0]
+        # every step fraction at once, one candidate (x, w) per row
+        xs = _unit_rows(x + frac[:, None] * step[:d])
+        ws = _unit_rows(w + frac[:, None] * step[d:].conj())
+        a_t = np.einsum("kij,tj->tki", ops, xs)
+        res = np.linalg.norm(np.einsum("tki,ti->tk", a_t, ws.conj()), axis=1)
+        better = np.flatnonzero(res < (1.0 - frac / 2.0) * best)
+        if not better.size:
+            break
+        t = better[0]
+        x, w, a, best = xs[t], ws[t], a_t[t], res[t]
+    return x
 
 
 def _spanning_search(ops: np.ndarray, cfg: SearchConfig):

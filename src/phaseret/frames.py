@@ -34,11 +34,18 @@ from .seeding import spawn_rng
 
 _STREAM_UNION = 2
 
-# Gram-screen margin for the bipartition scan.  Eigenvalues of the scatter
-# matrix are only accurate to ~eps * lam_max, so the batched screen can
-# certify "spans" (lam_min well above noise) but never "does not span";
-# anything below the margin is re-checked exactly on the raw columns.
-# The margin also stays above the squared rank cutoff (see _screen_spans).
+# Margin of the certain-spans screen that both exact walks run before
+# their exact rank rule (_screen_spans).  A row's scatter matrix S = V V*,
+# V its selected columns, is certified when the Cholesky elimination of
+# S - t I with t = ratio * tr(S) completes with positive pivots.  Then
+# lam_min(S) > t >= ratio * lam_max(S), since tr(S) >= lam_max(S), so
+# sigma_min(V) > sqrt(ratio) * sigma_max(V); the ratio never drops below
+# (2 * rank_cutoff(1, size))^2, which puts sigma_min at twice the rank
+# rule's cutoff or more.  Rounding moves that bound by far less than the
+# margin: forming S costs O(m eps tr(S)) per entry and Cholesky's backward
+# error is O(n^2 eps ||S||), against ratio >= 1e-8.  The screen never says
+# "does not span": every row it leaves undecided is rechecked exactly on
+# the raw columns, so no answer depends on it.
 _SCREEN_RATIO = 1e-8
 
 # rows per batch in the bipartition walk and the n-subset walk
@@ -206,36 +213,61 @@ def _side_rank(vectors: np.ndarray, idx, tol: Tolerances) -> int:
     return numerical_rank(vectors[:, list(idx)], tol)
 
 
-def _screen_spans(vectors: np.ndarray, sel: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _outer_table(vectors: np.ndarray) -> np.ndarray:
+    """Rows v_i v_i* of the scatter matrices, flattened to an (m, n^2) table.
+
+    The scatter matrix of a 0/1 membership row s is then s @ table.
+    """
+    cols = vectors.T
+    return np.ascontiguousarray((cols[:, :, None] * cols[:, None, :].conj()).reshape(len(cols), -1))
+
+
+def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances) -> np.ndarray:
     """Batched certain-spans screen over membership rows sel (k, m).
 
-    Works on the n x n scatter matrix sum_i sel[i] v_i v_i*; True means
-    the selected columns certainly span, False means undecided.  Its
-    eigenvalues are the squared singular values of the selected columns,
-    and the exact rule counts sigma_min only above rank_cutoff(sigma_max,
-    max(n, |side|)); so "spans" also needs lam_min above the square of
-    twice that cutoff at its largest, |side| = m.
+    table is _outer_table of the walk's vectors, so one product gives
+    every row's scatter matrix S = sum_i sel[i] v_i v_i*.  True means the
+    selected columns certainly span, False means undecided: a row is
+    certified when the Cholesky elimination of S - ratio * tr(S) * I
+    completes with positive pivots, which makes lam_min(S) exceed
+    ratio * tr(S) >= ratio * lam_max(S).  See _SCREEN_RATIO for why that
+    implies the exact rank rule at this size.
     """
-    n, m = vectors.shape
-    ratio = max(_SCREEN_RATIO, (2.0 * rank_cutoff(1.0, max(n, m), tol)) ** 2)
-    w = vectors[None, :, :] * sel[:, None, :]
-    scat = w @ vectors.conj().T
-    lam = np.linalg.eigvalsh(scat)
-    lam_min, lam_max = lam[:, 0], lam[:, -1]
-    return lam_min > ratio * np.maximum(lam_max, 0.0)
+    k = sel.shape[0]
+    n = math.isqrt(table.shape[1])
+    # one product for the whole chunk, laid out (n^2, k) so that every
+    # elimination step below runs over the chunk in contiguous rows
+    flat = table.T @ sel.T
+    ratio = max(_SCREEN_RATIO, (2.0 * rank_cutoff(1.0, size, tol)) ** 2)
+    flat[::n + 1] -= ratio * flat[::n + 1].real.sum(axis=0)
+    a = flat.reshape(n, n, k)
+    alive = np.arange(k)
+    # right-looking elimination: pivot, then the rank-1 Schur update of
+    # the trailing block; a row leaves at its first non-positive pivot
+    for _ in range(n):
+        piv = a[0, 0].real
+        keep = piv > 0.0
+        if not keep.all():
+            a, piv, alive = a[..., keep], piv[keep], alive[keep]
+        col = a[1:, 0] / np.sqrt(piv)
+        a = a[1:, 1:]
+        a -= col[:, None] * col[None, :].conj()
+    spans = np.zeros(k, dtype=bool)
+    spans[alive] = True
+    return spans
 
 
-def _open_sides(vectors: np.ndarray, sel: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _open_sides(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances) -> np.ndarray:
     """Rows of sel whose side may fail to span.
 
     A side with fewer than n vectors cannot span; the rest are open
-    unless the Gram screen certifies them.
+    unless the screen certifies them.
     """
-    n = vectors.shape[0]
+    n = math.isqrt(table.shape[1])
     is_open = sel.sum(axis=1) < n
     rows = np.flatnonzero(~is_open)
     if rows.size:
-        is_open[rows] = ~_screen_spans(vectors, sel[rows], tol)
+        is_open[rows] = ~_screen_spans(table, sel[rows], size, tol)
     return is_open
 
 
@@ -248,14 +280,20 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
     I, so masks run over the remaining m-1 vectors (bit j set puts vector
     j+2 on side I^c); 2^(m-1) bipartitions total, m capped at `cap`.
 
-    A batched eigenvalue screen certifies clearly spanning sides; every
-    undecided bipartition is re-checked with exact SVD ranks, so witness
-    choice does not depend on the screen.
+    Each chunk of masks goes through the Cholesky screen (_screen_spans
+    at size max(n, m)): a side with at least n vectors whose scatter
+    matrix S keeps lam_min(S) above ratio * tr(S) >= ratio * lam_max(S)
+    certainly spans (see _SCREEN_RATIO for the trace bound and the
+    backward-error margin).  Every bipartition with no certified side is
+    re-checked with exact SVD ranks, so the answer and the witness do not
+    depend on the screen.
     """
     n, m = f.dim, f.size
     if m > cap:
         raise CapacityError(f"frame has {m} vectors; bipartition enumeration capped at {cap}")
     v = f.vectors
+    table = _outer_table(v)
+    size = max(n, m)
     nbits = m - 1
     total = 1 << nbits
     shifts = np.arange(nbits, dtype=np.uint64)
@@ -264,8 +302,8 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
         masks = np.arange(start, min(start + _CP_CHUNK, total), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
         sel_i = np.concatenate([np.ones((masks.size, 1)), 1.0 - bits], axis=1)
-        candidates = np.flatnonzero(_open_sides(v, sel_i, tol))
-        both = candidates[_open_sides(v, 1.0 - sel_i[candidates], tol)]
+        candidates = np.flatnonzero(_open_sides(table, sel_i, size, tol))
+        both = candidates[_open_sides(table, 1.0 - sel_i[candidates], size, tol)]
         for row in both:
             mask = int(masks[row])
             side_i = (0,) + tuple(j + 1 for j in range(nbits) if not (mask >> j) & 1)
@@ -286,6 +324,12 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
 
     Returns None when every n-subset of columns has rank n, else the
     lexicographically first rank-deficient subset (0-based indices).
+
+    Each chunk of subsets goes through the Cholesky screen (_screen_spans
+    at size n), which certifies a subset whose scatter matrix keeps
+    lam_min above ratio * tr >= ratio * lam_max (see _SCREEN_RATIO).
+    Every subset it leaves undecided gets the exact batched SVD rank rule,
+    in order, so the first deficient subset is the one returned.
     """
     n, m = f.dim, f.size
     if m < n:
@@ -294,12 +338,16 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     if total > cap:
         raise CapacityError(f"C({m}, {n}) = {total} subsets exceeds cap {cap}")
     v = f.vectors
+    table = _outer_table(v)
     combos = itertools.combinations(range(m), n)
     while True:
-        block = list(itertools.islice(combos, _SPARK_CHUNK))
-        if not block:
+        block = itertools.chain.from_iterable(itertools.islice(combos, _SPARK_CHUNK))
+        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n)
+        if not idx.size:
             return None
-        idx = np.array(block, dtype=np.intp)
+        sel = np.zeros((idx.shape[0], m))
+        np.put_along_axis(sel, idx, 1.0, axis=1)
+        idx = idx[~_screen_spans(table, sel, n, tol)]
         sub = v[:, idx].transpose(1, 0, 2)  # (k, n, n), columns idx[k]
         s = np.linalg.svd(sub, compute_uv=False)
         deficient = np.flatnonzero(s[:, -1] <= rank_cutoff(s[:, 0], n, tol))

@@ -319,6 +319,35 @@ def test_spanning_falsifier_loose_rank_tolerance_does_not_raise(seed):
         assert spanning_at(p, v.point, tol).spans is False
 
 
+def test_polish_halves_an_overshooting_gauss_newton_step():
+    # two of the three planes are 1e-3 apart, so the Gauss-Newton system is
+    # ill-conditioned and a full step from a random start overshoots; a
+    # polish that stops at the first such step returns its start.  The loose
+    # rule calls every start non-spanning, so the search hands such starts
+    # to the polish.
+    tol = Tolerances(rank_rtol=1e-2)
+    ops = _two_close_planes_and_one_more(4)
+    p = ProjectionFamily.from_projections(ops, Field.REAL, tol)
+    starts = np.random.default_rng(4).standard_normal((40, 3))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+
+    def sigma_min(x):
+        return np.linalg.svd((ops @ x).T, compute_uv=False)[-1]
+
+    reached = 0
+    for x0 in starts:
+        assert spanning_at(p, x0, tol).spans is False
+        x = certify._polish_point(ops, x0)
+        assert sigma_min(x) <= sigma_min(x0) * (1.0 + 1e-9)  # the best point seen
+        reached += sigma_min(x) < 1e-12
+    # the full step from start 14 takes the residual up, so without the
+    # halvings the polish would leave it at sigma_min 1.4e-4; without them
+    # none of the 40 starts reaches the zero set
+    assert sigma_min(starts[14]) > 1e-4
+    assert sigma_min(certify._polish_point(ops, starts[14])) < 1e-12
+    assert reached >= 5
+
+
 class _CountingSigma:
     """Wraps the descent's objective and records the batch size of every call."""
 

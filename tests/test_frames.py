@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +20,10 @@ from phaseret import (
     rank1_reduction,
     spanning_at,
 )
-from phaseret.frames import Subspace
+from phaseret.frames import Subspace, _outer_table, _screen_spans
 
 from conftest import (
+    _brute_rank,
     brute_complement_property,
     brute_first_cp_failure,
     brute_full_spark,
@@ -99,27 +102,33 @@ def test_cp_first_failure_ordering():
     assert brute_first_cp_failure(cols) == (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
 
 
-def _near_hyperplane_frame(rng, n):
+def _gaussian(rng, shape, field):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if field is Field.COMPLEX else x
+
+
+def _near_hyperplane_frame(rng, n, field=Field.REAL):
     # unit columns, a random subset of them pushed to within a random
     # distance of one hyperplane, so side ranks sit near every cutoff
     m = n + 1 + int(rng.integers(0, 3))
-    cols = rng.standard_normal((n, m))
-    normal = rng.standard_normal(n)
+    cols = _gaussian(rng, (n, m), field)
+    normal = _gaussian(rng, n, field)
     normal /= np.linalg.norm(normal)
     idx = rng.choice(m, size=int(rng.integers(n - 1, m)), replace=False)
-    flat = cols[:, idx] - np.outer(normal, normal @ cols[:, idx])
+    flat = cols[:, idx] - np.outer(normal, normal.conj() @ cols[:, idx])
     eps = 10.0 ** rng.uniform(-13, -1)
-    cols[:, idx] = flat + eps * np.outer(normal, rng.standard_normal(idx.size))
+    cols[:, idx] = flat + eps * np.outer(normal, _gaussian(rng, idx.size, field))
     return cols / np.linalg.norm(cols, axis=0), normal
 
 
 _RTOLS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]
 
 
-def _near_hyperplane_frames():
+def _near_hyperplane_frames(field=Field.REAL):
     for n in (2, 3, 4):
         for seed in range(50):
-            cols, normal = _near_hyperplane_frame(np.random.default_rng(1000 * n + seed), n)
+            rng = np.random.default_rng(1000 * n + seed)
+            cols, normal = _near_hyperplane_frame(rng, n, field)
             yield n, seed, cols, normal
 
 
@@ -137,6 +146,45 @@ def test_full_spark_matches_brute_oracle_at_every_rank_tolerance(rtol):
     tol = Tolerances(rank_rtol=rtol)
     for n, seed, cols, _ in _near_hyperplane_frames():
         assert full_spark(real_frame(cols), tol) == brute_full_spark(cols, rtol), (n, seed)
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_cp_matches_brute_oracle_on_complex_frames_at_every_rank_tolerance(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    for n, seed, cols, _ in _near_hyperplane_frames(Field.COMPLEX):
+        w = complement_property(Frame(cols, Field.COMPLEX), tol)
+        got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+        assert got == brute_first_cp_failure(cols, rtol), (n, seed)
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_full_spark_matches_brute_oracle_on_complex_frames_at_every_rank_tolerance(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    for n, seed, cols, _ in _near_hyperplane_frames(Field.COMPLEX):
+        assert full_spark(Frame(cols, Field.COMPLEX), tol) == brute_full_spark(cols, rtol), \
+            (n, seed)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_screen_never_certifies_a_deficient_side_or_subset(rtol, field):
+    # the screen may leave a spanning row undecided, but a row it certifies
+    # must span under the same-cutoff oracle: CP sides are screened at size
+    # max(n, m), n-subsets at size n, as in the two walks
+    tol = Tolerances(rank_rtol=rtol)
+    certified = 0
+    for n, seed, cols, _ in _near_hyperplane_frames(field):
+        m = cols.shape[1]
+        sides = [s for k in range(n, m + 1) for s in itertools.combinations(range(m), k)]
+        for rows, size in ((sides, max(n, m)), ([s for s in sides if len(s) == n], n)):
+            sel = np.zeros((len(rows), m))
+            for r, side in enumerate(rows):
+                sel[r, list(side)] = 1.0
+            spans = _screen_spans(_outer_table(cols), sel, size, tol)
+            for side in itertools.compress(rows, spans):
+                assert _brute_rank(cols[:, side], rtol) == n, (n, seed, side)
+            certified += int(spans.sum())
+    assert certified > 0
 
 
 @pytest.mark.parametrize("rtol", _RTOLS)
