@@ -27,6 +27,7 @@ from .frames import (
     complement_property,
     full_spark,
     image_matrix,
+    nonspanning_point_from_cp_failure,
     rank1_reduction,
 )
 from .linalg import (
@@ -37,6 +38,7 @@ from .linalg import (
     gaussian_matrix,
     null_direction,
     orthonormalize,
+    rank_cutoff,
 )
 from .seeding import spawn_rng
 
@@ -199,15 +201,15 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) ->
     The complement property is decidable by finite enumeration and, over
     the reals, equivalent to phase retrieval by the frame's rank-1
     projections.  A failing bipartition is converted into a verified
-    witness pair: x is the null direction of side I, so its images vanish
-    on side I and lie in the span of side I^c, which does not span;
-    pr_witness_from_nonspanning turns x into the pair.  The verdict's
-    point is x, a function of the frame and tol alone.  Under a loose
-    rank_rtol a side can count as rank-deficient while x is only nearly
-    orthogonal to it, and the pair can fail to re-verify; the failure is
-    still certified, and the verdict then carries its partition but no
-    witness or point.  No complex analogue exists; complex input is
-    rejected.
+    witness pair: nonspanning_point_from_cp_failure takes x as the null
+    direction of side I, so its images vanish on side I and lie in the
+    span of side I^c, which does not span; pr_witness_from_nonspanning
+    turns x into the pair.  The verdict's point is x, a function of the
+    frame and tol alone.  Under a loose rank_rtol a side can count as
+    rank-deficient while x is only nearly orthogonal to it, and the pair
+    can fail to re-verify; the failure is still certified, and the
+    verdict then carries its partition but no witness or point.  No
+    complex analogue exists; complex input is rejected.
     """
     if f.field is not Field.REAL:
         raise FieldError("exact complement-property decision applies to real frames only")
@@ -215,10 +217,8 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) ->
     if w is None:
         return Verdict(Status.CERTIFIED_HOLDS, method="complement-property")
     p = ProjectionFamily.from_frame(f, tol)
-    # never None: image_rank's cutoff is at least numerical_rank's on the
-    # same columns, and CP found rank_I < n
-    x = null_direction(f.vectors[:, list(w.side_I)], tol)
     try:
+        x = nonspanning_point_from_cp_failure(p, f, w, tol)
         witness = pr_witness_from_nonspanning(p, x, tol)
     except (ValueError, RuntimeError):
         return Verdict(Status.CERTIFIED_FAILS, method="complement-property", partition=w)
@@ -234,12 +234,16 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
-def _sigma_eval(ops, X):
-    """sigma_min of the stacked images A(x) = [A_1 x ... A_k x] and its gradient, batched.
+def _sigma_eval(ops, X, tol: Tolerances):
+    """sigma_min of the stacked images A(x) = [A_1 x ... A_k x], its gradient,
+    and whether the images fail to span, batched.
 
-    ops is a (k, d, d) operator stack and X holds one point per row.
+    ops is a (k, d, d) operator stack and X holds one unit point per row.
     With (w, z) the singular pair of sigma_min, the gradient in x is
     sum_j conj(z_j) A_j* w; for complex data it realifies as (Re, Im).
+    The flag is image_rank's rule on the same singular values: fewer than
+    d of them above rank_cutoff(max(sigma_max, 1), max(d, k)), so a stack
+    of k < d operators is short at every row.
     """
     a = np.einsum("kij,rj->rik", ops, X)
     uu, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -247,7 +251,9 @@ def _sigma_eval(ops, X):
     zbar = vh[:, -1, :]
     adj_w = np.einsum("kij,rj->rki", np.conj(np.swapaxes(ops, 1, 2)), w)
     g = np.einsum("rk,rki->ri", zbar, adj_w)
-    return s[:, -1], g
+    cutoff = rank_cutoff(np.maximum(s[:, 0], 1.0), max(a.shape[1:]), tol)
+    short = np.count_nonzero(s > cutoff[:, None], axis=1) < a.shape[1]
+    return s[:, -1], g, short
 
 
 _STEP_INIT = 0.1
@@ -256,18 +262,20 @@ _STEP_SHRINK = 0.5
 _FREEZE_WINDOW = 25
 _FREEZE_RTOL = 1e-3
 _POLISH_HALVINGS = 10
+_POLISH_ROUNDS = 60
 
 
-def _descent(value_grad, X, cfg: SearchConfig, solved):
-    """Multi-start projected descent with per-restart step control.
+def _descent(ops, X, cfg: SearchConfig):
+    """Multi-start projected descent on sigma_min with per-restart step control.
 
     Each row of X is renormalized to the unit sphere after every accepted
-    step; a rejected candidate leaves its row and gradient as they were,
-    so one evaluation per iteration serves both.  Yields (rows, values):
-    first as soon as solved(x) holds for the best row, since that row may
-    already answer the search, and again when the descent ends.  A caller
-    that takes its answer from the first yield never resumes the descent;
-    one that does not (a loose rank rule can call a point solved long
+    step; a rejected candidate leaves its row, gradient and flag as they
+    were, so one _sigma_eval per iteration serves all three.  Yields
+    (rows, values): once as soon as any row fails to span by the rank
+    rule, read from that evaluation's own singular values, since that row
+    may already answer the search, and again when the descent ends.  A
+    caller that takes its answer from the first yield never resumes the
+    descent; one that does not (a loose rank rule can flag a point long
     before a witness is near) gets the rest of the budget.  cfg.max_iters
     bounds the iterations.  A restart freezes once its value fell by less
     than a relative _FREEZE_RTOL over the last _FREEZE_WINDOW iterations,
@@ -275,24 +283,23 @@ def _descent(value_grad, X, cfg: SearchConfig, solved):
     descent ends when none is live.
     """
     X = X.copy()
-    val, grad = value_grad(X)
+    val, grad, short = _sigma_eval(ops, X, cfg.tol)
     step = np.full(val.shape, _STEP_INIT)
     live = np.arange(val.size)
     history = collections.deque([val.copy()], maxlen=_FREEZE_WINDOW + 1)
-    best, offered = np.inf, False
+    offered = False
     for _ in range(cfg.max_iters):
-        if not offered and val.min() < best:
-            best = val.min()
-            if solved(X[np.argmin(val)]):
-                offered = True
-                yield X.copy(), val.copy()
+        if not offered and short.any():
+            offered = True
+            yield X.copy(), val.copy()
         cand = _unit_rows(X[live] - step[live, None] * grad[live])
-        cval, cgrad = value_grad(cand)
+        cval, cgrad, cshort = _sigma_eval(ops, cand, cfg.tol)
         better = cval < val[live]
         moved = live[better]
         X[moved] = cand[better]
         grad[moved] = cgrad[better]
         val[moved] = cval[better]
+        short[moved] = cshort[better]
         step[live] = np.minimum(np.where(better, step[live] * _STEP_GROW,
                                          step[live] * _STEP_SHRINK), 1e3)
         history.append(val.copy())
@@ -305,7 +312,7 @@ def _descent(value_grad, X, cfg: SearchConfig, solved):
     yield X, val
 
 
-def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarray:
+def _polish_point(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Drive a near-non-spanning point onto the zero set by Gauss-Newton.
 
     Solves the bilinear system w* A_j x = 0 (j = 1..k) for unit x and w,
@@ -328,7 +335,7 @@ def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarra
     a = ops @ x  # row j is A_j x
     best = float(np.linalg.norm(a @ w.conj()))
     frac = 0.5 ** np.arange(_POLISH_HALVINGS + 1)
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         jac = np.concatenate([w.conj() @ ops, a], axis=1)
         step = np.linalg.lstsq(jac, -(a @ w.conj()), rcond=None)[0]
         # every step fraction at once, one candidate (x, w) per row
@@ -347,31 +354,20 @@ def _polish_point(ops: np.ndarray, x: np.ndarray, rounds: int = 60) -> np.ndarra
 def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
     """Yield (x, w): unit points whose images [A_1 x ... A_k x] fail to span.
 
-    w is a unit vector orthogonal to every A_j x.  Candidates come from
-    four generic spot checks, then from a multi-start descent on
-    sigma_min whose best endpoints are polished by Gauss-Newton.  The
-    descent runs at most cfg.max_iters iterations: it stops once its best
-    point fails to span by the rank rule of null_direction, and
-    restarts that stop improving freeze on their own (see _descent).
-    With fewer operators than dimensions no point spans, so the spot
-    checks are all there is.  Callers take the first candidate they
-    accept.
+    w is a unit vector orthogonal to every A_j x.  Every stack takes one
+    path: cfg.restarts seeded unit starts, a multi-start descent on
+    sigma_min, and Gauss-Newton polish of the 8 best rows of each batch
+    the descent yields; null_direction decides every candidate.  The
+    descent runs at most cfg.max_iters iterations: it yields as soon as
+    some row fails to span by the rank rule, which with fewer operators
+    than dimensions is every row from the start, and restarts that stop
+    improving freeze on their own (see _descent).  Callers take the first
+    candidate they accept.
     """
     rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
-    field = Field.infer(ops)
-    k, d = ops.shape[0], ops.shape[1]
-    for _ in range(4):
-        x = gaussian_matrix(rng, d, 1, field)[:, 0]
-        x /= np.linalg.norm(x)
-        w = null_direction((ops @ x).T, cfg.tol)
-        if w is not None:
-            yield x, w
-    if k < d:
-        return
-    r = cfg.restarts
-    X = _unit_rows(gaussian_matrix(rng, r, d, field).reshape(r, d))
-    for X, val in _descent(lambda X_: _sigma_eval(ops, X_), X, cfg,
-                           lambda x: null_direction((ops @ x).T, cfg.tol) is not None):
+    r, d = cfg.restarts, ops.shape[1]
+    X = _unit_rows(gaussian_matrix(rng, r, d, Field.infer(ops)).reshape(r, d))
+    for X, val in _descent(ops, X, cfg):
         for idx in np.argsort(val, kind="stable")[:8]:
             x = _polish_point(ops, X[idx])
             w = null_direction((ops @ x).T, cfg.tol)

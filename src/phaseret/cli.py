@@ -327,8 +327,8 @@ def _add_search_flags(sp) -> None:
                     help="multi-start restarts")
     sp.add_argument("--iters", type=int, default=SearchConfig.max_iters,
                     help="upper bound on descent iterations per restart; the "
-                         "descent stops once its best point fails to span, and "
-                         "a restart that stops improving freezes")
+                         "descent stops once any restart's point fails to span, "
+                         "and a restart that stops improving freezes")
 
 
 def build_parser() -> argparse.ArgumentParser:

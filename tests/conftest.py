@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from phaseret import Field
+from phaseret import DEFAULT_TOL, Field
 from phaseret.certify import _sigma_eval
 
 
@@ -106,7 +106,7 @@ def stack_sigma_and_grad(ops: np.ndarray, theta: np.ndarray) -> tuple[float, np.
     cplx = np.iscomplexobj(ops)
     d = ops.shape[1]
     x = theta[:d] + 1j * theta[d:] if cplx else theta
-    s, g = _sigma_eval(ops, x[None, :])
+    s, g, _ = _sigma_eval(ops, x[None, :], DEFAULT_TOL)
     g = np.concatenate([g[0].real, g[0].imag]) if cplx else g[0]
     return float(s[0]), g
 

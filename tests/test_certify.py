@@ -354,9 +354,9 @@ class _CountingSigma:
     def __init__(self):
         self.batches = []
 
-    def __call__(self, ops, X):
+    def __call__(self, ops, X, tol):
         self.batches.append(len(X))
-        return self.inner(ops, X)
+        return self.inner(ops, X, tol)
 
 
 @pytest.fixture
@@ -376,6 +376,18 @@ def test_descent_stops_once_best_point_fails_to_span(counting_sigma):
     assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
     # one evaluation before the first iteration, one per iteration after it
     assert len(counting_sigma.batches) <= cfg.max_iters // 4
+
+
+@pytest.mark.parametrize("n, m, field", [(4, 3, Field.REAL), (3, 4, Field.COMPLEX)])
+def test_short_stack_is_falsified_after_one_sigma_batch(counting_sigma, n, m, field):
+    # m < n real vectors, or m + 1 < 2n lifted complex operators: the
+    # stack is short at every point, so the descent's first evaluation
+    # already flags every row and the search never takes a step
+    p = ProjectionFamily.from_frame(gen_random_frame(n, m, field, seed=3))
+    v = pr_falsifier(p, SearchConfig(restarts=16, seed=0))
+    assert v.status is Status.FALSIFIED
+    assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+    assert counting_sigma.batches == [16]
 
 
 def test_descent_freezes_every_restart_when_pr_holds(counting_sigma):

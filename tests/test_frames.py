@@ -20,6 +20,7 @@ from phaseret import (
     rank1_reduction,
     spanning_at,
 )
+from phaseret.certify import _sigma_eval
 from phaseret.frames import Subspace, _outer_table, _screen_spans
 
 from conftest import (
@@ -198,6 +199,7 @@ def test_spanning_at_matches_brute_oracle_at_every_rank_tolerance(rtol):
         report = spanning_at(ProjectionFamily.from_projections(stack, Field.REAL, tol),
                              normal, tol)
         assert (report.rank, report.spans) == (rank, rank == n), (n, seed)
+        assert _sigma_eval(stack, normal[None, :], tol)[2][0] == (rank < n), (n, seed)
 
 
 def test_cp_capacity():
