@@ -12,7 +12,6 @@ the measurement map does not determine vectors up to phase.
 
 from __future__ import annotations
 
-import collections
 import enum
 from dataclasses import dataclass, field as dc_field
 
@@ -73,7 +72,12 @@ class WitnessCheck:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget, seed and tolerances of the multi-start spanning search."""
+    """Budget, seed and tolerances of the multi-start spanning search.
+
+    restarts is the number of seeded unit starts, all solved together;
+    max_iters bounds the Gauss-Newton rounds, which usually end far
+    sooner (see _gauss_newton).
+    """
 
     restarts: int = 64
     max_iters: int = 500
@@ -230,146 +234,117 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) ->
 # spanning search on an operator stack
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
 def _sigma_eval(ops, X, tol: Tolerances):
-    """sigma_min of the stacked images A(x) = [A_1 x ... A_k x], its gradient,
-    and whether the images fail to span, batched.
+    """The value |w* A(x)|, the unit w attaining it, and whether the images
+    fail to span, batched over the stacked images A(x) = [A_1 x ... A_k x].
 
     ops is a (k, d, d) operator stack and X holds one unit point per row.
-    With (w, z) the singular pair of sigma_min, the gradient in x is
-    sum_j conj(z_j) A_j* w; for complex data it realifies as (Re, Im).
-    The flag is image_rank's rule on the same singular values: fewer than
-    d of them above rank_cutoff(max(sigma_max, 1), max(d, k)), so a stack
-    of k < d operators is short at every row.
+    w is the last column of the full left singular basis of A(x), so the
+    value is sigma_min when k >= d and 0 when k < d.  The flag is
+    image_rank's rule on the same singular values: fewer than d of them
+    above rank_cutoff(max(sigma_max, 1), max(d, k)), so a stack of k < d
+    operators is short at every row.
     """
     a = np.einsum("kij,rj->rik", ops, X)
-    uu, s, vh = np.linalg.svd(a, full_matrices=False)
-    w = uu[:, :, -1]
-    zbar = vh[:, -1, :]
-    adj_w = np.einsum("kij,rj->rki", np.conj(np.swapaxes(ops, 1, 2)), w)
-    g = np.einsum("rk,rki->ri", zbar, adj_w)
-    cutoff = rank_cutoff(np.maximum(s[:, 0], 1.0), max(a.shape[1:]), tol)
-    short = np.count_nonzero(s > cutoff[:, None], axis=1) < a.shape[1]
-    return s[:, -1], g, short
+    d, k = a.shape[1:]
+    # with k >= d the reduced left basis is already the full one
+    u, s, _ = np.linalg.svd(a, full_matrices=k < d)
+    cutoff = rank_cutoff(np.maximum(s[:, 0], 1.0), max(d, k), tol)
+    short = np.count_nonzero(s > cutoff[:, None], axis=1) < d
+    value = s[:, -1] if k >= d else np.zeros(len(X))
+    return value, u[:, :, -1], short
 
 
-_STEP_INIT = 0.1
-_STEP_GROW = 1.25
-_STEP_SHRINK = 0.5
-_FREEZE_WINDOW = 25
-_FREEZE_RTOL = 1e-3
-_POLISH_HALVINGS = 10
-_POLISH_ROUNDS = 60
+def _tangent_jacobian(ops, X, W):
+    """Residuals r_j = w* A_j x and their Jacobian in (dx, conj dw), batched.
+
+    The system is complex-linear in (dx, conj dw), with row j
+    [w* A_j, (A_j x)^T]; restricted to the tangent spaces of both unit
+    spheres (dx orthogonal to x, dw to w) it becomes
+    [w* A_j - r_j x*, (A_j x)^T - r_j w^T], which maps (x, 0) and
+    (0, conj w) to zero.
+    """
+    ax = np.einsum("kij,rj->rki", ops, X)
+    wa = np.einsum("ri,kij->rkj", W.conj(), ops)
+    res = np.einsum("rki,ri->rk", ax, W.conj())
+    jac = np.concatenate([wa - res[..., None] * X.conj()[:, None, :],
+                          ax - res[..., None] * W[:, None, :]], axis=2)
+    return res, jac
 
 
-def _descent(ops, X, cfg: SearchConfig):
-    """Multi-start projected descent on sigma_min with per-restart step control.
+_HALVINGS = 10
 
-    Each row of X is renormalized to the unit sphere after every accepted
-    step; a rejected candidate leaves its row, gradient and flag as they
-    were, so one _sigma_eval per iteration serves all three.  Yields
-    (rows, values): once as soon as any row fails to span by the rank
-    rule, read from that evaluation's own singular values, since that row
-    may already answer the search, and again when the descent ends.  A
-    caller that takes its answer from the first yield never resumes the
-    descent; one that does not (a loose rank rule can flag a point long
-    before a witness is near) gets the rest of the budget.  cfg.max_iters
-    bounds the iterations.  A restart freezes once its value fell by less
-    than a relative _FREEZE_RTOL over the last _FREEZE_WINDOW iterations,
-    or once its step underflowed; frozen rows leave the batch, and the
-    descent ends when none is live.
+
+def _gauss_newton(ops, X, cfg: SearchConfig):
+    """Batched Gauss-Newton on w* A_j x = 0 (j = 1..k) for unit x and w.
+
+    Every row of X starts with the w of _sigma_eval.  A round takes, for
+    every live row, the minimum-norm step of the tangent system (see
+    _tangent_jacobian) and keeps the longest of the step and its first
+    _HALVINGS halvings whose residual is below 1 - t/2 times the row's
+    value at step fraction t; x and w are renormalized, and one
+    _sigma_eval reads the new value, w and flag.  A row with no
+    qualifying fraction stops and leaves the batch; cfg.max_iters bounds
+    the rounds.  Yields (rows, values): a row is offered the first round
+    the rank rule flags it, since it may already answer the search, and
+    again when it stops; rows still live after the last round are offered
+    then.  A caller that takes its answer from an early offer never
+    resumes the generator.
     """
     X = X.copy()
-    val, grad, short = _sigma_eval(ops, X, cfg.tol)
-    step = np.full(val.shape, _STEP_INIT)
-    live = np.arange(val.size)
-    history = collections.deque([val.copy()], maxlen=_FREEZE_WINDOW + 1)
-    offered = False
+    d = X.shape[1]
+    frac = 0.5 ** np.arange(_HALVINGS + 1)
+    val, W, short = _sigma_eval(ops, X, cfg.tol)
+    # row masks rather than index sets: np.union1d imports numpy.ma (~2 MB)
+    flagged, offer = short.copy(), short.copy()
+    live = np.arange(len(X))
     for _ in range(cfg.max_iters):
-        if not offered and short.any():
-            offered = True
-            yield X.copy(), val.copy()
-        cand = _unit_rows(X[live] - step[live, None] * grad[live])
-        cval, cgrad, cshort = _sigma_eval(ops, cand, cfg.tol)
-        better = cval < val[live]
-        moved = live[better]
-        X[moved] = cand[better]
-        grad[moved] = cgrad[better]
-        val[moved] = cval[better]
-        short[moved] = cshort[better]
-        step[live] = np.minimum(np.where(better, step[live] * _STEP_GROW,
-                                         step[live] * _STEP_SHRINK), 1e3)
-        history.append(val.copy())
-        frozen = step[live] < 1e-14
-        if len(history) > _FREEZE_WINDOW:
-            frozen |= val[live] >= (1.0 - _FREEZE_RTOL) * history[0][live]
-        live = live[~frozen]
+        if offer.any():
+            yield X[offer], val[offer]
+        res, jac = _tangent_jacobian(ops, X[live], W[live])
+        step = -np.einsum("rij,rj->ri", np.linalg.pinv(jac), res)
+        # every step fraction at once, one candidate (x, w) per row and fraction
+        xs = _unit_rows(X[live, None] + frac[:, None] * step[:, None, :d])
+        ws = _unit_rows(W[live, None] + frac[:, None] * step[:, None, d:].conj())
+        trial = np.linalg.norm(np.einsum("kij,rtj,rti->rtk", ops, xs, ws.conj()), axis=-1)
+        ok = trial < (1.0 - frac / 2.0) * val[live, None]
+        moved = ok.any(axis=1)
+        offer = np.zeros_like(short)
+        offer[live[~moved]] = True
+        X[live[moved]] = xs[moved, ok[moved].argmax(axis=1)]
+        live = live[moved]
         if live.size == 0:
             break
-    yield X, val
-
-
-def _polish_point(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Drive a near-non-spanning point onto the zero set by Gauss-Newton.
-
-    Solves the bilinear system w* A_j x = 0 (j = 1..k) for unit x and w,
-    starting from the left singular vector w of A(x) for sigma_min.  The
-    system is complex-linear in (dx, conj(dw)), so each step is one small
-    least-squares solve, and the minimum-norm step converges
-    quadratically onto a nearby solution; exact alternating minimization
-    only crawls along curved zero sets such as the lifted complex ones.
-    On ill-conditioned stacks a full step can overshoot from a start that
-    is not yet close, so each round takes the longest of the step and its
-    first _POLISH_HALVINGS halvings that shrinks the residual by a factor
-    1 - t/2 at step fraction t (a sufficient decrease: slow creeping
-    near a residual floor ends the polish instead of spending its
-    rounds).  The polish stops when no fraction qualifies and returns the
-    best point seen.
-    """
-    d = ops.shape[1]
-    x = x / np.linalg.norm(x)
-    w = np.linalg.svd((ops @ x).T)[0][:, -1]
-    a = ops @ x  # row j is A_j x
-    best = float(np.linalg.norm(a @ w.conj()))
-    frac = 0.5 ** np.arange(_POLISH_HALVINGS + 1)
-    for _ in range(_POLISH_ROUNDS):
-        jac = np.concatenate([w.conj() @ ops, a], axis=1)
-        step = np.linalg.lstsq(jac, -(a @ w.conj()), rcond=None)[0]
-        # every step fraction at once, one candidate (x, w) per row
-        xs = _unit_rows(x + frac[:, None] * step[:d])
-        ws = _unit_rows(w + frac[:, None] * step[d:].conj())
-        a_t = np.einsum("kij,tj->tki", ops, xs)
-        res = np.linalg.norm(np.einsum("tki,ti->tk", a_t, ws.conj()), axis=1)
-        better = np.flatnonzero(res < (1.0 - frac / 2.0) * best)
-        if not better.size:
-            break
-        t = better[0]
-        x, w, a, best = xs[t], ws[t], a_t[t], res[t]
-    return x
+        val[live], W[live], short[live] = _sigma_eval(ops, X[live], cfg.tol)
+        offer |= short & ~flagged
+        flagged |= short
+    offer[live] = True
+    if offer.any():
+        yield X[offer], val[offer]
 
 
 def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
     """Yield (x, w): unit points whose images [A_1 x ... A_k x] fail to span.
 
     w is a unit vector orthogonal to every A_j x.  Every stack takes one
-    path: cfg.restarts seeded unit starts, a multi-start descent on
-    sigma_min, and Gauss-Newton polish of the 8 best rows of each batch
-    the descent yields; null_direction decides every candidate.  The
-    descent runs at most cfg.max_iters iterations: it yields as soon as
-    some row fails to span by the rank rule, which with fewer operators
-    than dimensions is every row from the start, and restarts that stop
-    improving freeze on their own (see _descent).  Callers take the first
+    path: cfg.restarts seeded unit starts, one batched Gauss-Newton solve
+    of w* A_j x = 0 from all of them at once (see _gauss_newton), and
+    null_direction, which decides every row the solver offers, smallest
+    value first.  The solver runs at most cfg.max_iters rounds: it offers
+    a row as soon as the rank rule flags it, which with fewer operators
+    than dimensions is every row from the start, and a row stops once no
+    damped step shrinks its residual enough.  Callers take the first
     candidate they accept.
     """
     rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
     r, d = cfg.restarts, ops.shape[1]
     X = _unit_rows(gaussian_matrix(rng, r, d, Field.infer(ops)).reshape(r, d))
-    for X, val in _descent(ops, X, cfg):
-        for idx in np.argsort(val, kind="stable")[:8]:
-            x = _polish_point(ops, X[idx])
+    for X, val in _gauss_newton(ops, X, cfg):
+        for x in X[np.argsort(val, kind="stable")]:
             w = null_direction((ops @ x).T, cfg.tol)
             if w is not None:
                 yield x, w

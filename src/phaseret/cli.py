@@ -326,9 +326,9 @@ def _add_search_flags(sp) -> None:
     sp.add_argument("--restarts", type=int, default=SearchConfig.restarts,
                     help="multi-start restarts")
     sp.add_argument("--iters", type=int, default=SearchConfig.max_iters,
-                    help="upper bound on descent iterations per restart; the "
-                         "descent stops once any restart's point fails to span, "
-                         "and a restart that stops improving freezes")
+                    help="upper bound on Gauss-Newton rounds; the search tries a "
+                         "restart's point as soon as it fails to span, and a "
+                         "restart stops once no damped step shrinks its residual")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -106,14 +106,17 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > rank_cutoff(s[0], max(arr.shape), tol)))
 
 
-def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank of the images of a unit point, stacked as columns."""
-    s = np.linalg.svd(a, compute_uv=False)
+def _image_rank_from(s: np.ndarray, shape, tol: Tolerances) -> int:
     # images of a unit point never exceed unit scale, so anchor the noise
     # floor at 1: when every image is float dust the rank is 0, not
     # whatever the dust happens to span
     scale = max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.count_nonzero(s > rank_cutoff(scale, max(a.shape), tol)))
+    return int(np.count_nonzero(s > rank_cutoff(scale, max(shape), tol)))
+
+
+def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank of the images of a unit point, stacked as columns."""
+    return _image_rank_from(np.linalg.svd(a, compute_uv=False), a.shape, tol)
 
 
 def null_direction(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -125,9 +128,10 @@ def null_direction(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray |
     columns than rows it lies past the last singular value, and with no
     columns it is the last standard basis vector.
     """
-    if image_rank(a, tol) == a.shape[0]:
+    u, s, _ = np.linalg.svd(a)
+    if _image_rank_from(s, a.shape, tol) == a.shape[0]:
         return None
-    return np.linalg.svd(a)[0][:, -1]
+    return u[:, -1]
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -10,7 +10,7 @@ Stream codes used by the library (paths are (root, code, *indices)):
 
     2  basis rotations when forming a basis union
     3  random subspace generation (index: subspace position)
-    4  multistart descent starting points
+    4  spanning-search starting points
     7  survey trial frames (indices: n, m, trial)
     9  random frame generation
 

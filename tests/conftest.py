@@ -11,8 +11,8 @@ import itertools
 import numpy as np
 import pytest
 
-from phaseret import DEFAULT_TOL, Field
-from phaseret.certify import _sigma_eval
+from phaseret import Field
+from phaseret.certify import _tangent_jacobian
 
 
 def brute_complement_property(vectors: np.ndarray) -> bool:
@@ -96,19 +96,56 @@ def random_projection_stack(rng: np.random.Generator, n: int, ranks, field: Fiel
     return np.stack(mats)
 
 
-def stack_sigma_and_grad(ops: np.ndarray, theta: np.ndarray) -> tuple[float, np.ndarray]:
-    """The spanning search's sigma_min and gradient at one point, in flat real
-    coordinates: theta is x for a real stack and (Re x, Im x) for a complex one.
+def stack_residual_and_jacobian(ops: np.ndarray, x: np.ndarray,
+                                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spanning search's residuals r_j = w* A_j x and tangent Jacobian in
+    (dx, conj dw) at one pair of points.
 
-    Not an oracle: it calls the library's objective so that tests can hold
-    its gradient against finite differences.
+    Not an oracle: it calls the library's solver kernel so that tests can
+    hold the Jacobian against finite differences.
     """
-    cplx = np.iscomplexobj(ops)
+    res, jac = _tangent_jacobian(ops, x[None, :], w[None, :])
+    return res[0], jac[0]
+
+
+def tangent_jacobian_error(ops: np.ndarray, theta: np.ndarray, h: float = 1e-6):
+    """The search's tangent Jacobian against central differences at one point.
+
+    theta is x for a real stack and (Re x, Im x) for a complex one; x is
+    normalized, and w is the last left singular vector of A(x), taken
+    with numpy's SVD: the pair the solver linearizes at.  Every flat
+    real coordinate direction of x, then of w, is projected onto the
+    tangent space of its unit sphere, and residuals computed here with
+    plain products are differenced along the renormalized curve.
+    Returns the relative error over all directions, the library's
+    residual included, and the largest |J v| over the normal directions
+    v = (x, 0) and (0, conj w), which the tangent Jacobian maps to zero.
+    """
+    def residual(x, w):
+        return (ops @ x) @ w.conj()
+
     d = ops.shape[1]
-    x = theta[:d] + 1j * theta[d:] if cplx else theta
-    s, g, _ = _sigma_eval(ops, x[None, :], DEFAULT_TOL)
-    g = np.concatenate([g[0].real, g[0].imag]) if cplx else g[0]
-    return float(s[0]), g
+    x = theta[:d] + 1j * theta[d:] if np.iscomplexobj(ops) else theta
+    x = x / np.linalg.norm(x)
+    w = np.linalg.svd((ops @ x).T)[0][:, -1]
+    res, jac = stack_residual_and_jacobian(ops, x, w)
+    exact, num = [res], [residual(x, w)]
+    basis = np.eye(d, dtype=x.dtype)
+    if np.iscomplexobj(ops):
+        basis = np.concatenate([basis, 1j * basis])
+    zero = np.zeros(d, dtype=x.dtype)
+    for e in basis:
+        for dx, dw in ((e - x * np.vdot(x, e), zero), (zero, e - w * np.vdot(w, e))):
+            exact.append(jac @ np.concatenate([dx, dw.conj()]))
+            plus, minus = (residual((x + s * dx) / np.linalg.norm(x + s * dx),
+                                    (w + s * dw) / np.linalg.norm(w + s * dw))
+                           for s in (h, -h))
+            num.append((plus - minus) / (2 * h))
+    exact, num = np.array(exact), np.array(num)
+    rel = np.linalg.norm(exact - num) / max(np.linalg.norm(num), 1e-12)
+    normal = max(np.linalg.norm(jac @ np.concatenate([x, zero])),
+                 np.linalg.norm(jac @ np.concatenate([zero, w.conj()])))
+    return rel, normal
 
 
 @pytest.fixture

@@ -34,7 +34,7 @@ from conftest import (
     brute_full_spark,
     random_projection_stack,
     random_unit_columns,
-    stack_sigma_and_grad,
+    tangent_jacobian_error,
 )
 
 AXES = Frame(np.eye(2), Field.REAL)
@@ -322,34 +322,38 @@ def test_spanning_falsifier_loose_rank_tolerance_does_not_raise(seed):
 def test_polish_halves_an_overshooting_gauss_newton_step():
     # two of the three planes are 1e-3 apart, so the Gauss-Newton system is
     # ill-conditioned and a full step from a random start overshoots; a
-    # polish that stops at the first such step returns its start.  The loose
-    # rule calls every start non-spanning, so the search hands such starts
-    # to the polish.
+    # solver that stops at the first such step returns its start.  The loose
+    # rule calls every start non-spanning, so the search offers every start.
     tol = Tolerances(rank_rtol=1e-2)
     ops = _two_close_planes_and_one_more(4)
     p = ProjectionFamily.from_projections(ops, Field.REAL, tol)
     starts = np.random.default_rng(4).standard_normal((40, 3))
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    cfg = SearchConfig(tol=tol)
 
     def sigma_min(x):
         return np.linalg.svd((ops @ x).T, compute_uv=False)[-1]
 
+    def solve(x0):
+        *_, (rows, _) = certify._gauss_newton(ops, x0[None, :], cfg)
+        return rows[0]
+
     reached = 0
     for x0 in starts:
         assert spanning_at(p, x0, tol).spans is False
-        x = certify._polish_point(ops, x0)
-        assert sigma_min(x) <= sigma_min(x0) * (1.0 + 1e-9)  # the best point seen
+        x = solve(x0)
+        assert sigma_min(x) <= sigma_min(x0) * (1.0 + 1e-9)  # never above its start
         reached += sigma_min(x) < 1e-12
     # the full step from start 14 takes the residual up, so without the
-    # halvings the polish would leave it at sigma_min 1.4e-4; without them
+    # halvings the solver would leave it at sigma_min 1.4e-4; without them
     # none of the 40 starts reaches the zero set
     assert sigma_min(starts[14]) > 1e-4
-    assert sigma_min(certify._polish_point(ops, starts[14])) < 1e-12
+    assert sigma_min(solve(starts[14])) < 1e-12
     assert reached >= 5
 
 
 class _CountingSigma:
-    """Wraps the descent's objective and records the batch size of every call."""
+    """Wraps the solver's evaluation and records the batch size of every call."""
 
     def __init__(self):
         self.batches = []
@@ -368,20 +372,26 @@ def counting_sigma(monkeypatch):
 
 
 def test_descent_stops_once_best_point_fails_to_span(counting_sigma):
-    # m = 4 < 2n - 1 real vectors: phase retrieval fails
-    p = ProjectionFamily.from_frame(gen_random_frame(3, 4, Field.REAL, seed=1))
-    cfg = SearchConfig(restarts=16, seed=0)
-    v = pr_falsifier(p, cfg)
-    assert v.status is Status.FALSIFIED
-    assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
-    # one evaluation before the first iteration, one per iteration after it
-    assert len(counting_sigma.batches) <= cfg.max_iters // 4
+    # m = 4 < 2n - 1 real vectors, and complex frames with m < 4n - 4 whose
+    # lifted search once spent its whole budget: phase retrieval fails
+    cases = [(gen_random_frame(3, 4, Field.REAL, seed=1), 0),
+             (gen_random_frame(3, 7, Field.COMPLEX, seed=1), 1),
+             (gen_random_frame(4, 11, Field.COMPLEX, seed=2), 2)]
+    for frame, seed in cases:
+        counting_sigma.batches.clear()
+        p = ProjectionFamily.from_frame(frame)
+        cfg = SearchConfig(restarts=16, seed=seed)
+        v = pr_falsifier(p, cfg)
+        assert v.status is Status.FALSIFIED
+        assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+        # one evaluation before the first round, one per round after it
+        assert len(counting_sigma.batches) <= cfg.max_iters // 4, (frame.dim, frame.size)
 
 
 @pytest.mark.parametrize("n, m, field", [(4, 3, Field.REAL), (3, 4, Field.COMPLEX)])
 def test_short_stack_is_falsified_after_one_sigma_batch(counting_sigma, n, m, field):
     # m < n real vectors, or m + 1 < 2n lifted complex operators: the
-    # stack is short at every point, so the descent's first evaluation
+    # stack is short at every point, so the solver's first evaluation
     # already flags every row and the search never takes a step
     p = ProjectionFamily.from_frame(gen_random_frame(n, m, field, seed=3))
     v = pr_falsifier(p, SearchConfig(restarts=16, seed=0))
@@ -398,7 +408,7 @@ def test_descent_freezes_every_restart_when_pr_holds(counting_sigma):
     batches = counting_sigma.batches
     assert len(batches) <= cfg.max_iters // 4
     assert batches[0] == cfg.restarts
-    # frozen restarts leave the batch and never come back
+    # stopped restarts leave the batch and never come back
     assert all(b <= a for a, b in zip(batches, batches[1:]))
     assert batches[-1] < cfg.restarts
 
@@ -572,19 +582,11 @@ def test_gen_random_frame_seeded():
 
 
 # ---------------------------------------------------------------------------
-# spanning-search objective
-
-def fd_gradient(fn, theta, h=1e-6):
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h
-        g[i] = (fn(theta + e) - fn(theta - e)) / (2 * h)
-    return g
-
+# spanning-search Jacobian
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_sigma_gradient_on_both_stacks(field):
+    # checks the solver's tangent Jacobian; the name predates it
     rng = np.random.default_rng(42)
     cols = random_unit_columns(rng, 3, 4, field)
     p = ProjectionFamily.from_frame(Frame(cols, field))
@@ -594,10 +596,9 @@ def test_sigma_gradient_on_both_stacks(field):
         # first half: a point for the projections, second half: for the lifted stack
         for ops, t in ((p.projections, theta[:width // 2]),
                        (_lifted_stack(p), theta[width // 2:])):
-            val, grad = stack_sigma_and_grad(ops, t)
-            num = fd_gradient(lambda s: stack_sigma_and_grad(ops, s)[0], t)
-            assert val >= 0.0
-            np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-7)
+            rel, normal = tangent_jacobian_error(ops, t)
+            assert rel <= 1e-5
+            assert normal <= 1e-12
 
 
 def test_search_config_validation():
