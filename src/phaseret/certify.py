@@ -214,6 +214,11 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) ->
     can fail to re-verify; the failure is still certified, and the
     verdict then carries its partition but no witness or point.  No
     complex analogue exists; complex input is rejected.
+
+    complement_property certifies CP through full spark when m >= 2n-1,
+    at any frame size within its subset budget; cap bounds only its
+    bipartition walk, and past it a frame that is not certified that way
+    raises CapacityError.
     """
     if f.field is not Field.REAL:
         raise FieldError("exact complement-property decision applies to real frames only")
@@ -389,13 +394,15 @@ def _search_verdict(p: ProjectionFamily, ops: np.ndarray, cfg: SearchConfig,
 def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
     """Hunt for a point where the images {P_i x} fail to span.
 
-    Real rank-1 families within the complement-property cap get an exact
-    verdict through the frame reduction and the complement property.
-    Everything else is search: each found point x comes with a unit w
-    orthogonal to every P_i x, which makes (x+w, x-w) a witness pair (see
-    pr_witness_from_nonspanning); the first pair that re-verifies is
-    returned with its point.  Exhausting the candidates is reported as
-    inconclusive, never as proof that spanning holds.
+    Real rank-1 families get an exact verdict through the frame reduction
+    and the complement property when the bipartition walk's cap admits
+    them or the full-spark shortcut certifies them (see
+    decide_real_rank1).  Everything else is search: each found point x
+    comes with a unit w orthogonal to every P_i x, which makes
+    (x+w, x-w) a witness pair (see pr_witness_from_nonspanning); the
+    first pair that re-verifies is returned with its point.  Exhausting
+    the candidates is reported as inconclusive, never as proof that
+    spanning holds.
     """
     cfg = cfg or SearchConfig()
     if p.field is Field.REAL and all(r == 1 for r in p.ranks):

@@ -33,7 +33,7 @@ from .certify import (
     verify_pr_witness,
 )
 from .errors import CapacityError, FieldError
-from .frames import Frame, ProjectionFamily, complement_property, full_spark
+from .frames import _SUBSET_BUDGET, Frame, ProjectionFamily, complement_property, full_spark
 from .linalg import Field, Tolerances, gaussian_matrix
 from .seeding import spawn_rng
 from . import serialize
@@ -341,13 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-cp", help="exact complement-property check on a frame")
     sp.add_argument("input", help="frame file (JSON, or CSV for real frames)")
-    sp.add_argument("--cap", type=int, default=24, help="max frame size for enumeration")
+    sp.add_argument("--cap", type=int, default=24,
+                    help="max frame size for the bipartition walk (a full-spark frame "
+                         "with m >= 2n-1 holds at any size within the subset budget)")
     _add_tol_flags(sp)
     sp.set_defaults(func=_cmd_check_cp)
 
     sp = sub.add_parser("check-spark", help="exact full-spark check on a frame")
     sp.add_argument("input", help="frame file (JSON, or CSV for real frames)")
-    sp.add_argument("--cap", type=int, default=5_000_000, help="max subset count")
+    sp.add_argument("--cap", type=int, default=_SUBSET_BUDGET, help="max subset count")
     _add_tol_flags(sp)
     sp.set_defaults(func=_cmd_check_spark)
 

@@ -37,20 +37,28 @@ _STREAM_UNION = 2
 # Margin of the certain-spans screen that both exact walks run before
 # their exact rank rule (_screen_spans).  A row's scatter matrix S = V V*,
 # V its selected columns, is certified when the Cholesky elimination of
-# S - t I with t = ratio * tr(S) completes with positive pivots.  Then
-# lam_min(S) > t >= ratio * lam_max(S), since tr(S) >= lam_max(S), so
-# sigma_min(V) > sqrt(ratio) * sigma_max(V); the ratio never drops below
-# (2 * rank_cutoff(1, size))^2, which puts sigma_min at twice the rank
-# rule's cutoff or more.  Rounding moves that bound by far less than the
+# S - t I with t = max(ratio * tr(S), floor) completes with positive
+# pivots.  Then lam_min(S) > t >= ratio * lam_max(S), since
+# tr(S) >= lam_max(S), so sigma_min(V) > sqrt(ratio) * sigma_max(V); the
+# ratio never drops below (2 * rank_cutoff(1, size))^2, which puts
+# sigma_min at twice the rank rule's cutoff or more.  The floor, (2 tau)^2
+# for a walk at a fixed cutoff tau and 0 otherwise, likewise puts
+# sigma_min above 2 tau.  Rounding moves either bound by far less than the
 # margin: forming S costs O(m eps tr(S)) per entry and Cholesky's backward
 # error is O(n^2 eps ||S||), against ratio >= 1e-8.  The screen never says
 # "does not span": every row it leaves undecided is rechecked exactly on
 # the raw columns, so no answer depends on it.
 _SCREEN_RATIO = 1e-8
 
-# rows per batch in the bipartition walk and the n-subset walk
-_CP_CHUNK = 8192
-_SPARK_CHUNK = 4096
+# rows per batch in both exact walks: the bipartition walk's (n^2, rows)
+# float64 screen array, n^2 * 32 KB, then fits a 2 MB L2 cache for n <= 7
+_CHUNK = 4096
+# the n-subset walk starts at this many rows and doubles up to _CHUNK, so
+# an early deficient subset costs little
+_FIRST_CHUNK = 64
+# most n-subsets either walk enumerates: full_spark's default cap, and the
+# budget of complement_property's full-spark shortcut
+_SUBSET_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,16 +230,18 @@ def _outer_table(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((cols[:, :, None] * cols[:, None, :].conj()).reshape(len(cols), -1))
 
 
-def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances) -> np.ndarray:
+def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances,
+                  floor: float = 0.0) -> np.ndarray:
     """Batched certain-spans screen over membership rows sel (k, m).
 
     table is _outer_table of the walk's vectors, so one product gives
     every row's scatter matrix S = sum_i sel[i] v_i v_i*.  True means the
     selected columns certainly span, False means undecided: a row is
-    certified when the Cholesky elimination of S - ratio * tr(S) * I
-    completes with positive pivots, which makes lam_min(S) exceed
-    ratio * tr(S) >= ratio * lam_max(S).  See _SCREEN_RATIO for why that
-    implies the exact rank rule at this size.
+    certified when the Cholesky elimination of
+    S - max(ratio * tr(S), floor) * I completes with positive pivots,
+    which makes lam_min(S) exceed both ratio * tr(S) >= ratio * lam_max(S)
+    and floor.  See _SCREEN_RATIO for why that implies the exact rank rule
+    at this size, and sigma_min above sqrt(floor).
     """
     k = sel.shape[0]
     n = math.isqrt(table.shape[1])
@@ -239,7 +249,7 @@ def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances
     # elimination step below runs over the chunk in contiguous rows
     flat = table.T @ sel.T
     ratio = max(_SCREEN_RATIO, (2.0 * rank_cutoff(1.0, size, tol)) ** 2)
-    flat[::n + 1] -= ratio * flat[::n + 1].real.sum(axis=0)
+    flat[::n + 1] -= np.maximum(ratio * flat[::n + 1].real.sum(axis=0), floor)
     a = flat.reshape(n, n, k)
     alive = np.arange(k)
     # right-looking elimination: pivot, then the rank-1 Schur update of
@@ -271,35 +281,83 @@ def _open_sides(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances) 
     return is_open
 
 
+def _first_deficient_subset(v: np.ndarray, tol: Tolerances,
+                            tau: float = 0.0) -> tuple[int, ...] | None:
+    """Lexicographically first n-subset of the columns of v that fails to
+    span, as 0-based indices, or None when every n-subset spans.
+
+    A subset spans when sigma_n exceeds both tau and its own rank cutoff
+    rank_cutoff(sigma_max, n); with tau = 0 that is the rank rule at the
+    subset's size.  Each chunk of subsets goes through the Cholesky screen
+    (_screen_spans at size n, floor (2 tau)^2), and every subset it leaves
+    undecided gets the exact batched SVD, in order, so the first deficient
+    subset is the one returned.  Chunks start at _FIRST_CHUNK rows and
+    double up to _CHUNK.
+    """
+    n, m = v.shape
+    table = _outer_table(v)
+    combos = itertools.combinations(range(m), n)
+    rows = _FIRST_CHUNK
+    while True:
+        block = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n)
+        if not idx.size:
+            return None
+        rows = min(2 * rows, _CHUNK)
+        sel = np.zeros((idx.shape[0], m))
+        np.put_along_axis(sel, idx, 1.0, axis=1)
+        idx = idx[~_screen_spans(table, sel, n, tol, floor=(2.0 * tau) ** 2)]
+        sub = v[:, idx].transpose(1, 0, 2)  # (k, n, n), columns idx[k]
+        s = np.linalg.svd(sub, compute_uv=False)
+        deficient = np.flatnonzero(s[:, -1] <= np.maximum(tau, rank_cutoff(s[:, 0], n, tol)))
+        if deficient.size:
+            return tuple(int(j) for j in idx[deficient[0]])
+
+
 def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
                         cap: int = 24) -> PartitionWitness | None:
-    """Exact complement-property check by bipartition enumeration.
+    """Exact complement-property check.
 
     Returns None when every bipartition has a spanning side, else the
     first failing bipartition in mask order.  Vector 1 is pinned to side
     I, so masks run over the remaining m-1 vectors (bit j set puts vector
-    j+2 on side I^c); 2^(m-1) bipartitions total, m capped at `cap`.
+    j+2 on side I^c); 2^(m-1) bipartitions total.
 
-    Each chunk of masks goes through the Cholesky screen (_screen_spans
-    at size max(n, m)): a side with at least n vectors whose scatter
-    matrix S keeps lam_min(S) above ratio * tr(S) >= ratio * lam_max(S)
-    certainly spans (see _SCREEN_RATIO for the trace bound and the
-    backward-error margin).  Every bipartition with no certified side is
-    re-checked with exact SVD ranks, so the answer and the witness do not
-    depend on the screen.
+    Full-spark shortcut: when m >= 2n-1 and the C(m, n) n-subsets are
+    within _SUBSET_BUDGET, every bipartition has a side of n or more
+    vectors, so CP holds when every n-subset has sigma_n above
+    tau = rank_cutoff(sigma_max(V), max(n, m)).  A side S' containing
+    such a subset has sigma_n(S') >= sigma_n(subset) > tau, and tau is at
+    least the side's own cutoff rank_cutoff(sigma_max(S'), max(n, |S'|)),
+    so the side spans under the rank rule and the walk would also return
+    None.  The shortcut never returns a partition: when some n-subset
+    falls at or below tau, the bipartition walk decides.
+
+    The walk runs only when m <= cap.  Each chunk of masks goes through
+    the Cholesky screen (_screen_spans at size max(n, m)): a side with at
+    least n vectors whose scatter matrix S keeps lam_min(S) above
+    ratio * tr(S) >= ratio * lam_max(S) certainly spans (see _SCREEN_RATIO
+    for the trace bound and the backward-error margin).  Every bipartition
+    with no certified side is re-checked with exact SVD ranks, so the
+    answer and the witness do not depend on the screen.
     """
     n, m = f.dim, f.size
-    if m > cap:
-        raise CapacityError(f"frame has {m} vectors; bipartition enumeration capped at {cap}")
     v = f.vectors
-    table = _outer_table(v)
     size = max(n, m)
+    if m >= 2 * n - 1 and math.comb(m, n) <= _SUBSET_BUDGET:
+        tau = rank_cutoff(np.linalg.norm(v, 2), size, tol)
+        if _first_deficient_subset(v, tol, tau) is None:
+            return None
+    if m > cap:
+        raise CapacityError(f"frame has {m} vectors and was not certified through full "
+                            f"spark; the bipartition walk is capped at {cap}")
+    table = _outer_table(v)
     nbits = m - 1
     total = 1 << nbits
     shifts = np.arange(nbits, dtype=np.uint64)
 
-    for start in range(0, total, _CP_CHUNK):
-        masks = np.arange(start, min(start + _CP_CHUNK, total), dtype=np.uint64)
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
         sel_i = np.concatenate([np.ones((masks.size, 1)), 1.0 - bits], axis=1)
         candidates = np.flatnonzero(_open_sides(table, sel_i, size, tol))
@@ -319,17 +377,17 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
 
 
 def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
-               cap: int = 5_000_000) -> tuple[int, ...] | None:
+               cap: int = _SUBSET_BUDGET) -> tuple[int, ...] | None:
     """Exact full-spark check over all n-element subsets.
 
     Returns None when every n-subset of columns has rank n, else the
     lexicographically first rank-deficient subset (0-based indices).
 
-    Each chunk of subsets goes through the Cholesky screen (_screen_spans
-    at size n), which certifies a subset whose scatter matrix keeps
-    lam_min above ratio * tr >= ratio * lam_max (see _SCREEN_RATIO).
-    Every subset it leaves undecided gets the exact batched SVD rank rule,
-    in order, so the first deficient subset is the one returned.
+    The walk (_first_deficient_subset at tau = 0) puts each chunk of
+    subsets through the Cholesky screen at size n, which certifies a
+    subset whose scatter matrix keeps lam_min above ratio * tr >=
+    ratio * lam_max (see _SCREEN_RATIO), and gives every subset it leaves
+    undecided the exact batched SVD rank rule, in order.
     """
     n, m = f.dim, f.size
     if m < n:
@@ -337,22 +395,7 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     total = math.comb(m, n)
     if total > cap:
         raise CapacityError(f"C({m}, {n}) = {total} subsets exceeds cap {cap}")
-    v = f.vectors
-    table = _outer_table(v)
-    combos = itertools.combinations(range(m), n)
-    while True:
-        block = itertools.chain.from_iterable(itertools.islice(combos, _SPARK_CHUNK))
-        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n)
-        if not idx.size:
-            return None
-        sel = np.zeros((idx.shape[0], m))
-        np.put_along_axis(sel, idx, 1.0, axis=1)
-        idx = idx[~_screen_spans(table, sel, n, tol)]
-        sub = v[:, idx].transpose(1, 0, 2)  # (k, n, n), columns idx[k]
-        s = np.linalg.svd(sub, compute_uv=False)
-        deficient = np.flatnonzero(s[:, -1] <= rank_cutoff(s[:, 0], n, tol))
-        if deficient.size:
-            return tuple(int(j) for j in idx[deficient[0]])
+    return _first_deficient_subset(f.vectors, tol)
 
 
 def image_matrix(p: ProjectionFamily, x: np.ndarray) -> np.ndarray:

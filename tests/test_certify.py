@@ -219,9 +219,24 @@ def test_decide_rejects_complex():
 
 
 def test_decide_capacity():
+    # a repeated vector is never full spark, so past the cap the shortcut
+    # cannot certify and the capped bipartition walk is all that is left
     cols = np.vstack([np.ones(30), np.arange(30)])
-    with pytest.raises(pr.CapacityError):
+    cols[:, -1] = cols[:, 0]
+    with pytest.raises(pr.CapacityError, match="not certified through full spark"):
         decide_real_rank1(Frame(cols, Field.REAL), cap=8)
+
+
+def test_decide_past_cap_certifies_full_spark_frame():
+    # m = 30 > 24 and m >= 2n-1: every 3-subset spans, so CP holds exactly
+    v = decide_real_rank1(gen_random_frame(3, 30, Field.REAL, seed=0))
+    assert v.status is Status.CERTIFIED_HOLDS and v.method == "complement-property"
+
+
+def test_decide_past_cap_over_subset_budget_raises():
+    # C(32, 8) = 10518300 n-subsets exceed the budget, so no shortcut runs
+    with pytest.raises(pr.CapacityError, match="capped at 24"):
+        decide_real_rank1(gen_random_frame(8, 32, Field.REAL, seed=0))
 
 
 def test_decide_loose_rank_tolerance_keeps_partition_without_witness():
@@ -275,10 +290,19 @@ def test_spanning_falsifier_search_path():
 
 
 def test_spanning_falsifier_past_cap_searches_generic_frame():
-    # m = 30 > 24: no complement-property enumeration, the search runs instead
-    p = ProjectionFamily.from_frame(gen_random_frame(3, 30, Field.REAL, seed=0))
+    # m = 30 > 24 with a repeated vector, so not full spark: no exact CP
+    # verdict, the search runs instead and finds nothing (CP holds)
+    cols = gen_random_frame(3, 30, Field.REAL, seed=0).vectors.copy()
+    cols[:, -1] = cols[:, 0]
+    p = ProjectionFamily.from_frame(Frame(cols, Field.REAL))
     v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
     assert v.status is Status.NO_WITNESS_FOUND and v.method == "spanning-search"
+
+
+def test_spanning_falsifier_past_cap_certifies_full_spark_frame():
+    p = ProjectionFamily.from_frame(gen_random_frame(3, 30, Field.REAL, seed=0))
+    v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
+    assert v.status is Status.CERTIFIED_HOLDS and v.method == "complement-property"
 
 
 def test_spanning_falsifier_past_cap_finds_planted_point():

@@ -46,7 +46,16 @@ def test_check_cp_reads_csv(tmp_path):
 
 
 def test_check_cp_capacity_is_error(tmp_path):
-    assert main(["check-cp", write_frame(tmp_path, MERCEDES), "--cap", "2"]) == 2
+    # a repeated vector keeps the frame from full spark, so --cap applies
+    cols = np.hstack([MERCEDES.vectors, MERCEDES.vectors[:, :1]])
+    frame = pr.Frame(cols, pr.Field.REAL)
+    assert main(["check-cp", write_frame(tmp_path, frame), "--cap", "2"]) == 2
+
+
+def test_check_cp_past_cap_certified_through_full_spark(tmp_path, capsys):
+    frame = pr.gen_random_frame(3, 30, pr.Field.REAL, seed=0)
+    assert main(["check-cp", write_frame(tmp_path, frame)]) == 0
+    assert "holds" in capsys.readouterr().out
 
 
 def test_check_spark(tmp_path, capsys):
@@ -212,6 +221,20 @@ def test_survey_csv(tmp_path):
     assert float(rows[0]["rate"]) == 0.0  # two real vectors never do PR
     assert float(rows[1]["rate"]) == 1.0  # three generic ones always do
     assert all(r["trials"] == "4" for r in rows)
+
+
+def test_survey_real_past_cap_reports_rates(tmp_path):
+    # m = 25, 26 exceed the bipartition walk's cap; generic frames are full
+    # spark, so every cell still gets an exact rate
+    out = str(tmp_path / "survey.csv")
+    code = main(["survey", "--field", "real", "--n-range", "3", "--m-range", "25:26",
+                 "--trials", "2", "--out", out])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["m"] for r in rows] == ["25", "26"]
+    assert [r["rate"] for r in rows] == ["1.000000", "1.000000"]
+    assert all(r["note"] == "" for r in rows)
 
 
 def test_survey_complex_hermitian_applies(tmp_path):

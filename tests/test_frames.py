@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phaseret import (
+    DEFAULT_TOL,
     CapacityError,
     Field,
     Frame,
@@ -21,7 +22,7 @@ from phaseret import (
     spanning_at,
 )
 from phaseret.certify import _sigma_eval
-from phaseret.frames import Subspace, _outer_table, _screen_spans
+from phaseret.frames import Subspace, _first_deficient_subset, _outer_table, _screen_spans
 
 from conftest import (
     _brute_rank,
@@ -108,10 +109,11 @@ def _gaussian(rng, shape, field):
     return x + 1j * rng.standard_normal(shape) if field is Field.COMPLEX else x
 
 
-def _near_hyperplane_frame(rng, n, field=Field.REAL):
+def _near_hyperplane_frame(rng, n, field=Field.REAL, m=None):
     # unit columns, a random subset of them pushed to within a random
     # distance of one hyperplane, so side ranks sit near every cutoff
-    m = n + 1 + int(rng.integers(0, 3))
+    if m is None:
+        m = n + 1 + int(rng.integers(0, 3))
     cols = _gaussian(rng, (n, m), field)
     normal = _gaussian(rng, n, field)
     normal /= np.linalg.norm(normal)
@@ -171,21 +173,100 @@ def test_full_spark_matches_brute_oracle_on_complex_frames_at_every_rank_toleran
 def test_screen_never_certifies_a_deficient_side_or_subset(rtol, field):
     # the screen may leave a spanning row undecided, but a row it certifies
     # must span under the same-cutoff oracle: CP sides are screened at size
-    # max(n, m), n-subsets at size n, as in the two walks
+    # max(n, m), n-subsets at size n, as in the two walks; n-subsets
+    # screened with complement_property's shortcut floor (2 tau)^2 must
+    # also have sigma_n above tau = rtol * sigma_max(frame) * max(n, m)
     tol = Tolerances(rank_rtol=rtol)
     certified = 0
     for n, seed, cols, _ in _near_hyperplane_frames(field):
         m = cols.shape[1]
+        tau = rtol * np.linalg.norm(cols, 2) * max(n, m)
         sides = [s for k in range(n, m + 1) for s in itertools.combinations(range(m), k)]
-        for rows, size in ((sides, max(n, m)), ([s for s in sides if len(s) == n], n)):
+        subsets = [s for s in sides if len(s) == n]
+        for rows, size, floor in ((sides, max(n, m), 0.0), (subsets, n, 0.0),
+                                  (subsets, n, (2.0 * tau) ** 2)):
             sel = np.zeros((len(rows), m))
             for r, side in enumerate(rows):
                 sel[r, list(side)] = 1.0
-            spans = _screen_spans(_outer_table(cols), sel, size, tol)
+            spans = _screen_spans(_outer_table(cols), sel, size, tol, floor)
             for side in itertools.compress(rows, spans):
                 assert _brute_rank(cols[:, side], rtol) == n, (n, seed, side)
+                if floor:
+                    assert np.linalg.svd(cols[:, side], compute_uv=False)[-1] > tau, \
+                        (n, seed, side)
             certified += int(spans.sum())
     assert certified > 0
+
+
+def _shortcut_frames(field):
+    # m = 2n-1..2n+1, where complement_property tries full spark first:
+    # near-hyperplane frames, and every fourth frame with its last vector
+    # a multiple of its first, which is never full spark
+    for n in (2, 3, 4):
+        for seed in range(24):
+            rng = np.random.default_rng(5000 * n + seed)
+            cols, _ = _near_hyperplane_frame(rng, n, field, m=2 * n - 1 + seed % 3)
+            if seed % 4 == 3:
+                cols[:, -1] = 1.5 * cols[:, 0]
+            yield n, seed, cols
+
+
+def _spark_above(cols: np.ndarray, tau: float) -> bool:
+    """Every n-subset of columns has sigma_n > tau (numpy SVD, raw subsets)."""
+    n, m = cols.shape
+    return all(np.linalg.svd(cols[:, list(c)], compute_uv=False)[-1] > tau
+               for c in itertools.combinations(range(m), n))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_cp_shortcut_matches_brute_oracle(rtol, field):
+    # the full-spark shortcut must leave the walk's answer unchanged, and
+    # full spark at the largest side cutoff must imply CP under the oracle
+    tol = Tolerances(rank_rtol=rtol)
+    spark = walked = 0
+    for n, seed, cols in _shortcut_frames(field):
+        m = cols.shape[1]
+        w = complement_property(Frame(cols, field), tol)
+        got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+        expect = brute_first_cp_failure(cols, rtol)
+        assert got == expect, (n, seed)
+        if _spark_above(cols, rtol * np.linalg.norm(cols, 2) * max(n, m)):
+            assert expect is None, (n, seed)
+            spark += 1
+        else:
+            walked += 1
+    assert spark > 0 and walked > 0
+
+
+def test_cp_shortcut_cutoff_is_the_largest_side_cutoff():
+    # every pair spans at rtol * sigma_max(frame) * n, so the frame is full
+    # spark, but the whole frame (mask 0) fails at rtol * sigma_max * m:
+    # a shortcut run at the smaller cutoff would certify a CP failure
+    tol = Tolerances(rank_rtol=1e-2)
+    c, s = 0.05 * np.cos(0.42), 0.05 * np.sin(0.42)
+    cols = np.array([[1.0, c, c], [0.0, s, -s]])
+    assert full_spark(real_frame(cols), tol) is None
+    w = complement_property(real_frame(cols), tol)
+    assert w is not None
+    assert (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic) == brute_first_cp_failure(cols, 1e-2)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+def test_subset_walk_at_fixed_cutoff_matches_brute_oracle(field):
+    # the first n-subset, in lexicographic order, whose sigma_n is at or
+    # below max(tau, rtol * sigma_max(subset) * n)
+    for n, seed, cols in _shortcut_frames(field):
+        m = cols.shape[1]
+        smax = np.linalg.norm(cols, 2)
+        for tau in (0.0, 1e-3 * smax, 3e-2 * smax, 3e-1 * smax):
+            expect = None
+            for combo in itertools.combinations(range(m), n):
+                s = np.linalg.svd(cols[:, combo], compute_uv=False)
+                if s[-1] <= max(tau, 1e-10 * s[0] * n):
+                    expect = combo
+                    break
+            assert _first_deficient_subset(cols, DEFAULT_TOL, tau) == expect, (n, seed, tau)
 
 
 @pytest.mark.parametrize("rtol", _RTOLS)
