@@ -294,11 +294,13 @@ def _gauss_newton(ops, X, cfg: SearchConfig):
     value at step fraction t; x and w are renormalized, and one
     _sigma_eval reads the new value, w and flag.  A row with no
     qualifying fraction stops and leaves the batch; cfg.max_iters bounds
-    the rounds.  Yields (rows, values): a row is offered the first round
-    the rank rule flags it, since it may already answer the search, and
-    again when it stops; rows still live after the last round are offered
-    then.  A caller that takes its answer from an early offer never
-    resumes the generator.
+    the rounds.  Yields (rows, values, ws), and a row only while the rank
+    rule flags it: the first round it is flagged, since it may already
+    answer the search, again when it stops, and after the last round, if
+    it is still flagged then.  Its w comes from the same SVD that flagged
+    it, so it is orthogonal to every A_j x up to the rank cutoff.  Rows
+    that stop unflagged are never offered.  A caller that takes its
+    answer from an early offer never resumes the generator.
     """
     X = X.copy()
     d = X.shape[1]
@@ -309,7 +311,7 @@ def _gauss_newton(ops, X, cfg: SearchConfig):
     live = np.arange(len(X))
     for _ in range(cfg.max_iters):
         if offer.any():
-            yield X[offer], val[offer]
+            yield X[offer], val[offer], W[offer]
         res, jac = _tangent_jacobian(ops, X[live], W[live])
         step = -np.einsum("rij,rj->ri", np.linalg.pinv(jac), res)
         # every step fraction at once, one candidate (x, w) per row and fraction
@@ -319,7 +321,7 @@ def _gauss_newton(ops, X, cfg: SearchConfig):
         ok = trial < (1.0 - frac / 2.0) * val[live, None]
         moved = ok.any(axis=1)
         offer = np.zeros_like(short)
-        offer[live[~moved]] = True
+        offer[live] = short[live] & ~moved
         X[live[moved]] = xs[moved, ok[moved].argmax(axis=1)]
         live = live[moved]
         if live.size == 0:
@@ -327,32 +329,9 @@ def _gauss_newton(ops, X, cfg: SearchConfig):
         val[live], W[live], short[live] = _sigma_eval(ops, X[live], cfg.tol)
         offer |= short & ~flagged
         flagged |= short
-    offer[live] = True
+    offer[live] = short[live]
     if offer.any():
-        yield X[offer], val[offer]
-
-
-def _spanning_search(ops: np.ndarray, cfg: SearchConfig):
-    """Yield (x, w): unit points whose images [A_1 x ... A_k x] fail to span.
-
-    w is a unit vector orthogonal to every A_j x.  Every stack takes one
-    path: cfg.restarts seeded unit starts, one batched Gauss-Newton solve
-    of w* A_j x = 0 from all of them at once (see _gauss_newton), and
-    null_direction, which decides every row the solver offers, smallest
-    value first.  The solver runs at most cfg.max_iters rounds: it offers
-    a row as soon as the rank rule flags it, which with fewer operators
-    than dimensions is every row from the start, and a row stops once no
-    damped step shrinks its residual enough.  Callers take the first
-    candidate they accept.
-    """
-    rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
-    r, d = cfg.restarts, ops.shape[1]
-    X = _unit_rows(gaussian_matrix(rng, r, d, Field.infer(ops)).reshape(r, d))
-    for X, val in _gauss_newton(ops, X, cfg):
-        for x in X[np.argsort(val, kind="stable")]:
-            w = null_direction((ops @ x).T, cfg.tol)
-            if w is not None:
-                yield x, w
+        yield X[offer], val[offer], W[offer]
 
 
 def _lifted_stack(p: ProjectionFamily) -> np.ndarray:
@@ -372,22 +351,31 @@ def _lifted_stack(p: ProjectionFamily) -> np.ndarray:
 
 def _search_verdict(p: ProjectionFamily, ops: np.ndarray, cfg: SearchConfig,
                     method: str) -> Verdict:
-    """Certify the spanning search's candidates on p: (x, w) -> (x+w, x-w).
+    """Search ops for a non-spanning point x and certify (x+w, x-w) on p.
 
-    The first pair that re-verifies gives FALSIFIED with point x, none
-    gives NO_WITNESS_FOUND.  On ops over R^2n (the lifted stack of a
-    complex family) x and w are complexified and the verdict carries no
-    point: a lifted point need not be a complex non-spanning point.
+    cfg.restarts seeded unit starts go through one batched Gauss-Newton
+    solve of w* A_j x = 0 (see _gauss_newton), which offers a row only
+    while the rank rule flags its images [A_1 x ... A_k x] as failing to
+    span, with a unit w from the same SVD.  Each offer is walked smallest
+    value first; the first pair that re-verifies gives FALSIFIED with
+    point x, none gives NO_WITNESS_FOUND.  On ops over R^2n (the lifted
+    stack of a complex family) x and w are complexified and the verdict
+    carries no point: a lifted point need not be a complex non-spanning
+    point.
     """
-    n = p.dim
-    lifted = ops.shape[1] != n
-    for x, w in _spanning_search(ops, cfg):
-        if lifted:
-            x, w = x[:n] + 1j * x[n:], w[:n] + 1j * w[n:]
-        witness = _certified_pair(p, x + w, x - w, cfg.tol)
-        if witness is not None:
-            return Verdict(Status.FALSIFIED, method=method, witness=witness,
-                           point=None if lifted else x)
+    n, r, d = p.dim, cfg.restarts, ops.shape[1]
+    lifted = d != n
+    rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
+    starts = _unit_rows(gaussian_matrix(rng, r, d, Field.infer(ops)).reshape(r, d))
+    for X, val, W in _gauss_newton(ops, starts, cfg):
+        order = np.argsort(val, kind="stable")
+        for x, w in zip(X[order], W[order]):
+            if lifted:
+                x, w = x[:n] + 1j * x[n:], w[:n] + 1j * w[n:]
+            witness = _certified_pair(p, x + w, x - w, cfg.tol)
+            if witness is not None:
+                return Verdict(Status.FALSIFIED, method=method, witness=witness,
+                               point=None if lifted else x)
     return Verdict(Status.NO_WITNESS_FOUND, method=method)
 
 

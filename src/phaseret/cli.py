@@ -18,8 +18,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .certify import (
     SearchConfig,
@@ -146,7 +144,7 @@ _STATUS_EXIT = {
 }
 
 
-def _print_verdict(verdict, field: Field) -> None:
+def _print_verdict(verdict) -> None:
     print(f"verdict: {verdict.status.value} (method: {verdict.method})")
     if verdict.partition is not None:
         d = serialize.partition_to_dict(verdict.partition)
@@ -164,7 +162,7 @@ def _cmd_falsify(args, argv, started) -> int:
     p = serialize.load_family(args.input, tol)
     cfg = _search_config(args, tol, seed)
     verdict = spanning_falsifier(p, cfg) if args.mode == "spanning" else pr_falsifier(p, cfg)
-    _print_verdict(verdict, p.field)
+    _print_verdict(verdict)
     results = serialize.verdict_to_dict(verdict, p.field)
     _write_report(args, argv, _config_echo(tol, seed, args), results, started)
     return _STATUS_EXIT[verdict.status]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Any
 
 import numpy as np
 

@@ -29,6 +29,7 @@ from phaseret import (
 )
 import phaseret.certify as certify
 from phaseret.certify import _lifted_stack
+from phaseret.linalg import rank_cutoff
 
 from conftest import (
     brute_full_spark,
@@ -359,7 +360,7 @@ def test_polish_halves_an_overshooting_gauss_newton_step():
         return np.linalg.svd((ops @ x).T, compute_uv=False)[-1]
 
     def solve(x0):
-        *_, (rows, _) = certify._gauss_newton(ops, x0[None, :], cfg)
+        *_, (rows, _, _) = certify._gauss_newton(ops, x0[None, :], cfg)
         return rows[0]
 
     reached = 0
@@ -395,7 +396,35 @@ def counting_sigma(monkeypatch):
     return counter
 
 
-def test_descent_stops_once_best_point_fails_to_span(counting_sigma):
+@pytest.fixture
+def offers(monkeypatch):
+    """Records every (ops, rows, ws) the solver offers the search."""
+    seen = []
+    solve = certify._gauss_newton
+
+    def recording(ops, X, cfg):
+        for rows, val, ws in solve(ops, X, cfg):
+            seen.append((ops, rows, ws))
+            yield rows, val, ws
+
+    monkeypatch.setattr(certify, "_gauss_newton", recording)
+    return seen
+
+
+def _assert_offers_fail_to_span(offers):
+    # each offered w is a unit vector with every |w* A_j x| within the
+    # rank cutoff of the row's images, so the row fails to span
+    assert offers
+    for ops, rows, ws in offers:
+        for x, w in zip(rows, ws):
+            a = (ops @ x).T
+            sigma_max = np.linalg.svd(a, compute_uv=False)[0]
+            cutoff = rank_cutoff(max(sigma_max, 1.0), max(a.shape), Tolerances())
+            assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+            assert np.all(np.abs(w.conj() @ a) <= cutoff)
+
+
+def test_descent_stops_once_best_point_fails_to_span(counting_sigma, offers):
     # m = 4 < 2n - 1 real vectors, and complex frames with m < 4n - 4 whose
     # lifted search once spent its whole budget: phase retrieval fails
     cases = [(gen_random_frame(3, 4, Field.REAL, seed=1), 0),
@@ -403,6 +432,7 @@ def test_descent_stops_once_best_point_fails_to_span(counting_sigma):
              (gen_random_frame(4, 11, Field.COMPLEX, seed=2), 2)]
     for frame, seed in cases:
         counting_sigma.batches.clear()
+        offers.clear()
         p = ProjectionFamily.from_frame(frame)
         cfg = SearchConfig(restarts=16, seed=seed)
         v = pr_falsifier(p, cfg)
@@ -410,10 +440,11 @@ def test_descent_stops_once_best_point_fails_to_span(counting_sigma):
         assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
         # one evaluation before the first round, one per round after it
         assert len(counting_sigma.batches) <= cfg.max_iters // 4, (frame.dim, frame.size)
+        _assert_offers_fail_to_span(offers)
 
 
 @pytest.mark.parametrize("n, m, field", [(4, 3, Field.REAL), (3, 4, Field.COMPLEX)])
-def test_short_stack_is_falsified_after_one_sigma_batch(counting_sigma, n, m, field):
+def test_short_stack_is_falsified_after_one_sigma_batch(counting_sigma, offers, n, m, field):
     # m < n real vectors, or m + 1 < 2n lifted complex operators: the
     # stack is short at every point, so the solver's first evaluation
     # already flags every row and the search never takes a step
@@ -422,9 +453,10 @@ def test_short_stack_is_falsified_after_one_sigma_batch(counting_sigma, n, m, fi
     assert v.status is Status.FALSIFIED
     assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
     assert counting_sigma.batches == [16]
+    _assert_offers_fail_to_span(offers)
 
 
-def test_descent_freezes_every_restart_when_pr_holds(counting_sigma):
+def test_descent_freezes_every_restart_when_pr_holds(counting_sigma, offers):
     # m = 5 = 2n - 1 generic real vectors: phase retrieval holds
     p = ProjectionFamily.from_frame(gen_random_frame(3, 5, Field.REAL, seed=2))
     cfg = SearchConfig(restarts=16, seed=0)
@@ -435,6 +467,8 @@ def test_descent_freezes_every_restart_when_pr_holds(counting_sigma):
     # stopped restarts leave the batch and never come back
     assert all(b <= a for a, b in zip(batches, batches[1:]))
     assert batches[-1] < cfg.restarts
+    # no row is ever flagged, so the solver offers none
+    assert offers == []
 
 
 def test_pr_falsifier_real_cp_failure():
