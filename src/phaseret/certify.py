@@ -33,11 +33,11 @@ from .linalg import (
     DEFAULT_TOL,
     Field,
     Tolerances,
+    _image_rank_from,
     ensure_finite,
     gaussian_matrix,
     null_direction,
     orthonormalize,
-    rank_cutoff,
 )
 from .seeding import spawn_rng
 
@@ -250,16 +250,15 @@ def _sigma_eval(ops, X, tol: Tolerances):
     ops is a (k, d, d) operator stack and X holds one unit point per row.
     w is the last column of the full left singular basis of A(x), so the
     value is sigma_min when k >= d and 0 when k < d.  The flag is
-    image_rank's rule on the same singular values: fewer than d of them
-    above rank_cutoff(max(sigma_max, 1), max(d, k)), so a stack of k < d
-    operators is short at every row.
+    image_rank's rule on the same singular values (_image_rank_from):
+    fewer than d of them above rank_cutoff(max(sigma_max, 1), max(d, k)),
+    so a stack of k < d operators is short at every row.
     """
     a = np.einsum("kij,rj->rik", ops, X)
     d, k = a.shape[1:]
     # with k >= d the reduced left basis is already the full one
     u, s, _ = np.linalg.svd(a, full_matrices=k < d)
-    cutoff = rank_cutoff(np.maximum(s[:, 0], 1.0), max(d, k), tol)
-    short = np.count_nonzero(s > cutoff[:, None], axis=1) < d
+    short = _image_rank_from(s, (d, k), tol) < d
     value = s[:, -1] if k >= d else np.zeros(len(X))
     return value, u[:, :, -1], short
 

@@ -25,8 +25,6 @@ from .linalg import (
     haar_rotation,
     image_rank,
     max_abs,
-    null_direction,
-    numerical_rank,
     projector_from_basis,
     rank_cutoff,
 )
@@ -34,20 +32,18 @@ from .seeding import spawn_rng
 
 _STREAM_UNION = 2
 
-# Margin of the certain-spans screen that both exact walks run before
-# their exact rank rule (_screen_spans).  A row's scatter matrix S = V V*,
-# V its selected columns, is certified when the Cholesky elimination of
-# S - t I with t = max(ratio * tr(S), floor) completes with positive
-# pivots.  Then lam_min(S) > t >= ratio * lam_max(S), since
-# tr(S) >= lam_max(S), so sigma_min(V) > sqrt(ratio) * sigma_max(V); the
-# ratio never drops below (2 * rank_cutoff(1, size))^2, which puts
-# sigma_min at twice the rank rule's cutoff or more.  The floor, (2 tau)^2
-# for a walk at a fixed cutoff tau and 0 otherwise, likewise puts
-# sigma_min above 2 tau.  Rounding moves either bound by far less than the
-# margin: forming S costs O(m eps tr(S)) per entry and Cholesky's backward
-# error is O(n^2 eps ||S||), against ratio >= 1e-8.  The screen never says
-# "does not span": every row it leaves undecided is rechecked exactly on
-# the raw columns, so no answer depends on it.
+# Rounding guard of the certain-spans screen that both exact walks run
+# before their exact rank rule (_screen_spans).  A row's scatter matrix
+# S = V V*, V its selected columns, is certified when the Cholesky
+# elimination of S - t I with t = max(ratio * tr(S), floor) completes with
+# positive pivots, so lam_min(S) > t.  The walks pass floor = (2 tau)^2,
+# tau their one cutoff, which puts a certified sigma_min above 2 tau: twice
+# the cutoff the exact rule would judge it at.  The ratio keeps that margin
+# clear of rounding when tau is tiny against the row: forming S costs
+# O(m eps tr(S)) per entry and Cholesky's backward error is
+# O(n^2 eps ||S||), far below ratio * tr(S) >= 1e-8 * lam_max(S).  The
+# screen never says "does not span": every row it leaves undecided is
+# rechecked exactly on the raw columns, so no answer depends on it.
 _SCREEN_RATIO = 1e-8
 
 # rows per batch in both exact walks: the bipartition walk's (n^2, rows)
@@ -200,7 +196,8 @@ class PartitionWitness:
     """Bipartition where neither side spans: a complement-property failure.
 
     Indices are 0-based positions into the frame; rank_I and rank_Ic are
-    exact numerical ranks of the two column sets.
+    exact numerical ranks of the two column sets at the frame's one
+    cutoff (see complement_property).
     """
 
     side_I: tuple[int, ...]
@@ -215,10 +212,10 @@ class SpanningReport:
     rank: int
 
 
-def _side_rank(vectors: np.ndarray, idx, tol: Tolerances) -> int:
+def _side_rank(vectors: np.ndarray, idx, tau: float) -> int:
     if len(idx) == 0:
         return 0
-    return numerical_rank(vectors[:, list(idx)], tol)
+    return int(np.count_nonzero(np.linalg.svd(vectors[:, list(idx)], compute_uv=False) > tau))
 
 
 def _outer_table(vectors: np.ndarray) -> np.ndarray:
@@ -230,8 +227,7 @@ def _outer_table(vectors: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((cols[:, :, None] * cols[:, None, :].conj()).reshape(len(cols), -1))
 
 
-def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances,
-                  floor: float = 0.0) -> np.ndarray:
+def _screen_spans(table: np.ndarray, sel: np.ndarray, floor: float) -> np.ndarray:
     """Batched certain-spans screen over membership rows sel (k, m).
 
     table is _outer_table of the walk's vectors, so one product gives
@@ -239,17 +235,15 @@ def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances
     selected columns certainly span, False means undecided: a row is
     certified when the Cholesky elimination of
     S - max(ratio * tr(S), floor) * I completes with positive pivots,
-    which makes lam_min(S) exceed both ratio * tr(S) >= ratio * lam_max(S)
-    and floor.  See _SCREEN_RATIO for why that implies the exact rank rule
-    at this size, and sigma_min above sqrt(floor).
+    which puts sigma_min of the selected columns above sqrt(floor) (see
+    _SCREEN_RATIO for the rounding margin).
     """
     k = sel.shape[0]
     n = math.isqrt(table.shape[1])
     # one product for the whole chunk, laid out (n^2, k) so that every
     # elimination step below runs over the chunk in contiguous rows
     flat = table.T @ sel.T
-    ratio = max(_SCREEN_RATIO, (2.0 * rank_cutoff(1.0, size, tol)) ** 2)
-    flat[::n + 1] -= np.maximum(ratio * flat[::n + 1].real.sum(axis=0), floor)
+    flat[::n + 1] -= np.maximum(_SCREEN_RATIO * flat[::n + 1].real.sum(axis=0), floor)
     a = flat.reshape(n, n, k)
     alive = np.arange(k)
     # right-looking elimination: pivot, then the rank-1 Schur update of
@@ -267,7 +261,7 @@ def _screen_spans(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances
     return spans
 
 
-def _open_sides(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances) -> np.ndarray:
+def _open_sides(table: np.ndarray, sel: np.ndarray, floor: float) -> np.ndarray:
     """Rows of sel whose side may fail to span.
 
     A side with fewer than n vectors cannot span; the rest are open
@@ -277,22 +271,19 @@ def _open_sides(table: np.ndarray, sel: np.ndarray, size: int, tol: Tolerances) 
     is_open = sel.sum(axis=1) < n
     rows = np.flatnonzero(~is_open)
     if rows.size:
-        is_open[rows] = ~_screen_spans(table, sel[rows], size, tol)
+        is_open[rows] = ~_screen_spans(table, sel[rows], floor)
     return is_open
 
 
-def _first_deficient_subset(v: np.ndarray, tol: Tolerances,
-                            tau: float = 0.0) -> tuple[int, ...] | None:
+def _first_deficient_subset(v: np.ndarray, tau: float) -> tuple[int, ...] | None:
     """Lexicographically first n-subset of the columns of v that fails to
     span, as 0-based indices, or None when every n-subset spans.
 
-    A subset spans when sigma_n exceeds both tau and its own rank cutoff
-    rank_cutoff(sigma_max, n); with tau = 0 that is the rank rule at the
-    subset's size.  Each chunk of subsets goes through the Cholesky screen
-    (_screen_spans at size n, floor (2 tau)^2), and every subset it leaves
-    undecided gets the exact batched SVD, in order, so the first deficient
-    subset is the one returned.  Chunks start at _FIRST_CHUNK rows and
-    double up to _CHUNK.
+    A subset spans when its sigma_n exceeds the cutoff tau.  Each chunk of
+    subsets goes through the Cholesky screen (_screen_spans at floor
+    (2 tau)^2), and every subset it leaves undecided gets the exact
+    batched SVD, in order, so the first deficient subset is the one
+    returned.  Chunks start at _FIRST_CHUNK rows and double up to _CHUNK.
     """
     n, m = v.shape
     table = _outer_table(v)
@@ -306,10 +297,10 @@ def _first_deficient_subset(v: np.ndarray, tol: Tolerances,
         rows = min(2 * rows, _CHUNK)
         sel = np.zeros((idx.shape[0], m))
         np.put_along_axis(sel, idx, 1.0, axis=1)
-        idx = idx[~_screen_spans(table, sel, n, tol, floor=(2.0 * tau) ** 2)]
+        idx = idx[~_screen_spans(table, sel, (2.0 * tau) ** 2)]
         sub = v[:, idx].transpose(1, 0, 2)  # (k, n, n), columns idx[k]
         s = np.linalg.svd(sub, compute_uv=False)
-        deficient = np.flatnonzero(s[:, -1] <= np.maximum(tau, rank_cutoff(s[:, 0], n, tol)))
+        deficient = np.flatnonzero(s[:, -1] <= tau)
         if deficient.size:
             return tuple(int(j) for j in idx[deficient[0]])
 
@@ -323,30 +314,28 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
     I, so masks run over the remaining m-1 vectors (bit j set puts vector
     j+2 on side I^c); 2^(m-1) bipartitions total.
 
+    Every side is judged at one cutoff, tau = rank_cutoff(sigma_max(V), n):
+    it spans when its sigma_n exceeds tau.  sigma_n only grows as vectors
+    are added, so a side spans whenever some part of it does.
+
     Full-spark shortcut: when m >= 2n-1 and the C(m, n) n-subsets are
     within _SUBSET_BUDGET, every bipartition has a side of n or more
-    vectors, so CP holds when every n-subset has sigma_n above
-    tau = rank_cutoff(sigma_max(V), max(n, m)).  A side S' containing
-    such a subset has sigma_n(S') >= sigma_n(subset) > tau, and tau is at
-    least the side's own cutoff rank_cutoff(sigma_max(S'), max(n, |S'|)),
-    so the side spans under the rank rule and the walk would also return
-    None.  The shortcut never returns a partition: when some n-subset
-    falls at or below tau, the bipartition walk decides.
+    vectors, so CP holds when every n-subset spans at tau.  The shortcut
+    never returns a partition: when some n-subset falls at or below tau,
+    the bipartition walk decides.
 
     The walk runs only when m <= cap.  Each chunk of masks goes through
-    the Cholesky screen (_screen_spans at size max(n, m)): a side with at
-    least n vectors whose scatter matrix S keeps lam_min(S) above
-    ratio * tr(S) >= ratio * lam_max(S) certainly spans (see _SCREEN_RATIO
-    for the trace bound and the backward-error margin).  Every bipartition
-    with no certified side is re-checked with exact SVD ranks, so the
-    answer and the witness do not depend on the screen.
+    the Cholesky screen (_screen_spans at floor (2 tau)^2), which
+    certifies a side only when its sigma_n exceeds 2 tau.  Every
+    bipartition with no certified side is re-checked with exact SVD
+    ranks, so the answer and the witness do not depend on the screen.
     """
     n, m = f.dim, f.size
     v = f.vectors
-    size = max(n, m)
+    tau = rank_cutoff(np.linalg.norm(v, 2), n, tol)
+    floor = (2.0 * tau) ** 2
     if m >= 2 * n - 1 and math.comb(m, n) <= _SUBSET_BUDGET:
-        tau = rank_cutoff(np.linalg.norm(v, 2), size, tol)
-        if _first_deficient_subset(v, tol, tau) is None:
+        if _first_deficient_subset(v, tau) is None:
             return None
     if m > cap:
         raise CapacityError(f"frame has {m} vectors and was not certified through full "
@@ -360,16 +349,16 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
         sel_i = np.concatenate([np.ones((masks.size, 1)), 1.0 - bits], axis=1)
-        candidates = np.flatnonzero(_open_sides(table, sel_i, size, tol))
-        both = candidates[_open_sides(table, 1.0 - sel_i[candidates], size, tol)]
+        candidates = np.flatnonzero(_open_sides(table, sel_i, floor))
+        both = candidates[_open_sides(table, 1.0 - sel_i[candidates], floor)]
         for row in both:
             mask = int(masks[row])
             side_i = (0,) + tuple(j + 1 for j in range(nbits) if not (mask >> j) & 1)
             side_ic = tuple(j + 1 for j in range(nbits) if (mask >> j) & 1)
-            rank_i = _side_rank(v, side_i, tol)
+            rank_i = _side_rank(v, side_i, tau)
             if rank_i == n:
                 continue
-            rank_ic = _side_rank(v, side_ic, tol)
+            rank_ic = _side_rank(v, side_ic, tau)
             if rank_ic == n:
                 continue
             return PartitionWitness(side_i, side_ic, rank_i, rank_ic)
@@ -383,11 +372,10 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     Returns None when every n-subset of columns has rank n, else the
     lexicographically first rank-deficient subset (0-based indices).
 
-    The walk (_first_deficient_subset at tau = 0) puts each chunk of
-    subsets through the Cholesky screen at size n, which certifies a
-    subset whose scatter matrix keeps lam_min above ratio * tr >=
-    ratio * lam_max (see _SCREEN_RATIO), and gives every subset it leaves
-    undecided the exact batched SVD rank rule, in order.
+    Subsets are judged at complement_property's one cutoff tau: the walk
+    (_first_deficient_subset) screens each chunk of subsets and gives
+    every subset the screen leaves undecided the exact batched SVD test
+    sigma_n > tau, in order.
     """
     n, m = f.dim, f.size
     if m < n:
@@ -395,7 +383,7 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     total = math.comb(m, n)
     if total > cap:
         raise CapacityError(f"C({m}, {n}) = {total} subsets exceeds cap {cap}")
-    return _first_deficient_subset(f.vectors, tol)
+    return _first_deficient_subset(f.vectors, rank_cutoff(np.linalg.norm(f.vectors, 2), n, tol))
 
 
 def image_matrix(p: ProjectionFamily, x: np.ndarray) -> np.ndarray:
@@ -447,18 +435,19 @@ def nonspanning_point_from_cp_failure(p: ProjectionFamily, f: Frame, w: Partitio
     """Turn a failed ONB union into a point where spanning fails.
 
     f must be an ONB union of p and w a bipartition of f where neither
-    side spans.  The returned unit x is the null direction of the side-I
-    columns, so it is orthogonal to them; each P_i x then lies in the
-    span of that subspace's side-I^c columns, which cannot span, so
-    spanning_at(p, x) fails.
+    side spans.  One SVD of the side-I columns gives their rank at
+    complement_property's cutoff tau and x, the last column of the full
+    left singular basis, orthogonal to side I up to tau.  Each P_i x then
+    lies in the span of that subspace's side-I^c columns, which cannot
+    span, so spanning_at(p, x) fails.
     """
     n = f.dim
     if max(w.side_I, default=-1) >= f.size or max(w.side_Ic, default=-1) >= f.size:
         raise ValueError("witness indices fall outside the frame")
-    side = f.vectors[:, list(w.side_I)]
-    if w.side_I and numerical_rank(side, tol) == n:
+    u, s, _ = np.linalg.svd(f.vectors[:, list(w.side_I)])
+    if np.count_nonzero(s > rank_cutoff(np.linalg.norm(f.vectors, 2), n, tol)) == n:
         raise ValueError("witness side I spans the space; not a valid failure certificate")
-    x = null_direction(side, tol)
+    x = u[:, -1]
     report = spanning_at(p, x, tol)
     if report.spans:
         raise ValueError("constructed point spans; frame is not an ONB union of this family")

@@ -5,6 +5,8 @@ the Field enum (real arrays are float64, complex arrays are complex128).
 Vectors are 1-D arrays, column collections are (n, k) arrays.  All rank
 decisions go through one relative singular-value threshold, rank_cutoff,
 so that every "spans" question in the toolkit means the same thing.
+Columns in K^n are judged at rank_cutoff(sigma_max, n), so adding
+columns never lowers a rank under one fixed sigma_max.
 """
 
 from __future__ import annotations
@@ -86,14 +88,17 @@ def rank_cutoff(scale, size, tol: Tolerances):
     """The rank rule: a singular value counts toward the rank when it is
     strictly above rank_rtol * scale * size.
 
-    scale is the matrix's sigma_max (or a floor under it), size its
-    larger dimension; scale may be an array for batched decisions.
+    For columns in K^n, size is n and scale bounds their sigma_max: the
+    exact frame walks fix sigma_max(V) of the whole frame once per call.
+    The image rule (_image_rank_from) takes max(sigma_max, 1) and the
+    larger dimension.  scale may be an array for batched decisions.
     """
     return tol.rank_rtol * scale * size
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count singular values above rank_cutoff(sigma_max, max(rows, cols)).
+    """Count singular values above rank_cutoff(sigma_max, rows), the rank
+    the exact frame walks give a whole frame.
 
     Returns 0 for an identically zero matrix.  Raises on empty or
     non-finite input.
@@ -103,20 +108,21 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
         raise ValueError("numerical_rank needs a nonempty 2-D matrix")
     ensure_finite(arr, "matrix")
     s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.count_nonzero(s > rank_cutoff(s[0], max(arr.shape), tol)))
+    return int(np.count_nonzero(s > rank_cutoff(s[0], arr.shape[0], tol)))
 
 
-def _image_rank_from(s: np.ndarray, shape, tol: Tolerances) -> int:
+def _image_rank_from(s: np.ndarray, shape, tol: Tolerances) -> np.ndarray:
+    """Image ranks from singular values s (..., r) of (..., d, k) image stacks."""
     # images of a unit point never exceed unit scale, so anchor the noise
     # floor at 1: when every image is float dust the rank is 0, not
     # whatever the dust happens to span
-    scale = max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.count_nonzero(s > rank_cutoff(scale, max(shape), tol)))
+    cutoff = rank_cutoff(np.maximum(s[..., :1], 1.0), max(shape), tol)
+    return np.count_nonzero(s > cutoff, axis=-1)
 
 
 def image_rank(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Numerical rank of the images of a unit point, stacked as columns."""
-    return _image_rank_from(np.linalg.svd(a, compute_uv=False), a.shape, tol)
+    return int(_image_rank_from(np.linalg.svd(a, compute_uv=False), a.shape, tol))
 
 
 def null_direction(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
@@ -138,7 +144,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the column span, via SVD.
 
     The output Gram matrix is the identity to machine precision and the
-    span equals the input span under the rank rule (rank_cutoff).  Raises
+    span equals the input span under numerical_rank's rule.  Raises
     when the columns are all numerically zero.
     """
     arr = np.asarray(vectors)
@@ -146,7 +152,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("orthonormalize needs at least one column")
     ensure_finite(arr, "vectors")
     u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_cutoff(s.max(initial=0.0), max(arr.shape), tol)))
+    r = int(np.count_nonzero(s > rank_cutoff(s.max(initial=0.0), arr.shape[0], tol)))
     if r == 0:
         raise ValueError("columns span only the zero subspace")
     return u[:, :r]

@@ -28,11 +28,14 @@ def brute_complement_property(vectors: np.ndarray) -> bool:
     return True
 
 
-def _brute_rank(a: np.ndarray, rtol: float | None) -> int:
-    """numpy's matrix_rank; with rtol, singular values above rtol * sigma_max * max(shape)."""
-    if rtol is None:
-        return int(np.linalg.matrix_rank(a))
-    return int(np.linalg.matrix_rank(a, tol=rtol * np.linalg.norm(a, 2) * max(a.shape)))
+def _brute_rank(a: np.ndarray, cutoff: float | None) -> int:
+    """numpy's matrix_rank: its default cutoff, or singular values above cutoff."""
+    return int(np.linalg.matrix_rank(a, tol=cutoff))
+
+
+def _frame_cutoff(vectors: np.ndarray, rtol: float | None) -> float | None:
+    """rtol * sigma_max(V) * n for the whole (n, m) frame V, or None without rtol."""
+    return None if rtol is None else rtol * np.linalg.norm(vectors, 2) * vectors.shape[0]
 
 
 def brute_first_cp_failure(vectors: np.ndarray, rtol: float | None = None):
@@ -41,14 +44,16 @@ def brute_first_cp_failure(vectors: np.ndarray, rtol: float | None = None):
     Vector 0 stays on side I; bit j of the mask moves vector j+1 to the
     complement; masks ascend.  Reimplemented here from that sentence
     alone, as a cross-check on the vectorized walk.  Ranks use numpy's
-    default cutoff, or rtol * sigma_max * max(shape) when rtol is given.
+    default cutoff, or, when rtol is given, one cutoff for every side:
+    rtol * sigma_max(V) * n of the whole frame.
     """
     n, m = vectors.shape
+    cutoff = _frame_cutoff(vectors, rtol)
     for mask in range(2 ** (m - 1)):
         side_ic = tuple(j + 1 for j in range(m - 1) if mask & (1 << j))
         side_i = tuple(j for j in range(m) if j not in side_ic)
-        r_i = _brute_rank(vectors[:, side_i], rtol) if side_i else 0
-        r_ic = _brute_rank(vectors[:, side_ic], rtol) if side_ic else 0
+        r_i = _brute_rank(vectors[:, side_i], cutoff) if side_i else 0
+        r_ic = _brute_rank(vectors[:, side_ic], cutoff) if side_ic else 0
         if r_i < n and r_ic < n:
             return side_i, side_ic, r_i, r_ic
     return None
@@ -57,12 +62,13 @@ def brute_first_cp_failure(vectors: np.ndarray, rtol: float | None = None):
 def brute_full_spark(vectors: np.ndarray, rtol: float | None = None):
     """First lexicographic dependent n-subset, or None if full spark.
 
-    Ranks use numpy's default cutoff, or rtol * sigma_max * n when rtol
-    is given.
+    Ranks use numpy's default cutoff, or, when rtol is given, one cutoff
+    for every subset: rtol * sigma_max(V) * n of the whole frame.
     """
     n, m = vectors.shape
+    cutoff = _frame_cutoff(vectors, rtol)
     for combo in itertools.combinations(range(m), n):
-        if _brute_rank(vectors[:, combo], rtol) < n:
+        if _brute_rank(vectors[:, combo], cutoff) < n:
             return combo
     return None
 

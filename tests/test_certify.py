@@ -251,6 +251,18 @@ def test_decide_loose_rank_tolerance_keeps_partition_without_witness():
     assert v.witness is None and v.point is None
 
 
+def test_decide_unchanged_by_copies_of_a_vector():
+    # copies of a frame vector cannot break CP; each side is judged at the
+    # frame's one cutoff, so adding them cannot lower a side's rank
+    f = gen_random_frame(3, 5, Field.REAL, seed=0)
+    tol = Tolerances(rank_rtol=1e-3)
+    statuses = []
+    for copies in (0, 10, 18):
+        cols = np.hstack([f.vectors, np.repeat(f.vectors[:, :1], copies, axis=1)])
+        statuses.append(decide_real_rank1(Frame(cols, Field.REAL), tol).status)
+    assert statuses == [Status.CERTIFIED_HOLDS] * 3
+
+
 # ---------------------------------------------------------------------------
 # falsifiers
 

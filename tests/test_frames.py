@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phaseret import (
-    DEFAULT_TOL,
     CapacityError,
     Field,
     Frame,
@@ -172,29 +171,23 @@ def test_full_spark_matches_brute_oracle_on_complex_frames_at_every_rank_toleran
 @pytest.mark.parametrize("rtol", _RTOLS)
 def test_screen_never_certifies_a_deficient_side_or_subset(rtol, field):
     # the screen may leave a spanning row undecided, but a row it certifies
-    # must span under the same-cutoff oracle: CP sides are screened at size
-    # max(n, m), n-subsets at size n, as in the two walks; n-subsets
-    # screened with complement_property's shortcut floor (2 tau)^2 must
-    # also have sigma_n above tau = rtol * sigma_max(frame) * max(n, m)
-    tol = Tolerances(rank_rtol=rtol)
+    # must span under the same-cutoff oracle: both walks screen every CP
+    # side and n-subset at the floor (2 tau)^2 of their one cutoff
+    # tau = rtol * sigma_max(frame) * n, so a certified row must have
+    # sigma_n above tau
     certified = 0
     for n, seed, cols, _ in _near_hyperplane_frames(field):
         m = cols.shape[1]
-        tau = rtol * np.linalg.norm(cols, 2) * max(n, m)
+        tau = rtol * np.linalg.norm(cols, 2) * n
         sides = [s for k in range(n, m + 1) for s in itertools.combinations(range(m), k)]
-        subsets = [s for s in sides if len(s) == n]
-        for rows, size, floor in ((sides, max(n, m), 0.0), (subsets, n, 0.0),
-                                  (subsets, n, (2.0 * tau) ** 2)):
-            sel = np.zeros((len(rows), m))
-            for r, side in enumerate(rows):
-                sel[r, list(side)] = 1.0
-            spans = _screen_spans(_outer_table(cols), sel, size, tol, floor)
-            for side in itertools.compress(rows, spans):
-                assert _brute_rank(cols[:, side], rtol) == n, (n, seed, side)
-                if floor:
-                    assert np.linalg.svd(cols[:, side], compute_uv=False)[-1] > tau, \
-                        (n, seed, side)
-            certified += int(spans.sum())
+        sel = np.zeros((len(sides), m))
+        for r, side in enumerate(sides):
+            sel[r, list(side)] = 1.0
+        spans = _screen_spans(_outer_table(cols), sel, (2.0 * tau) ** 2)
+        for side in itertools.compress(sides, spans):
+            assert _brute_rank(cols[:, side], tau) == n, (n, seed, side)
+            assert np.linalg.svd(cols[:, side], compute_uv=False)[-1] > tau, (n, seed, side)
+        certified += int(spans.sum())
     assert certified > 0
 
 
@@ -222,16 +215,15 @@ def _spark_above(cols: np.ndarray, tau: float) -> bool:
 @pytest.mark.parametrize("rtol", _RTOLS)
 def test_cp_shortcut_matches_brute_oracle(rtol, field):
     # the full-spark shortcut must leave the walk's answer unchanged, and
-    # full spark at the largest side cutoff must imply CP under the oracle
+    # full spark at the frame's one cutoff must imply CP under the oracle
     tol = Tolerances(rank_rtol=rtol)
     spark = walked = 0
     for n, seed, cols in _shortcut_frames(field):
-        m = cols.shape[1]
         w = complement_property(Frame(cols, field), tol)
         got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
         expect = brute_first_cp_failure(cols, rtol)
         assert got == expect, (n, seed)
-        if _spark_above(cols, rtol * np.linalg.norm(cols, 2) * max(n, m)):
+        if _spark_above(cols, rtol * np.linalg.norm(cols, 2) * n):
             assert expect is None, (n, seed)
             spark += 1
         else:
@@ -241,32 +233,33 @@ def test_cp_shortcut_matches_brute_oracle(rtol, field):
 
 def test_cp_shortcut_cutoff_is_the_largest_side_cutoff():
     # every pair spans at rtol * sigma_max(frame) * n, so the frame is full
-    # spark, but the whole frame (mask 0) fails at rtol * sigma_max * m:
-    # a shortcut run at the smaller cutoff would certify a CP failure
+    # spark; the whole frame (mask 0), which once failed at
+    # rtol * sigma_max * m, spans at that same cutoff, so the shortcut and
+    # the oracle agree that CP holds
     tol = Tolerances(rank_rtol=1e-2)
     c, s = 0.05 * np.cos(0.42), 0.05 * np.sin(0.42)
     cols = np.array([[1.0, c, c], [0.0, s, -s]])
     assert full_spark(real_frame(cols), tol) is None
     w = complement_property(real_frame(cols), tol)
-    assert w is not None
-    assert (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic) == brute_first_cp_failure(cols, 1e-2)
+    assert w is None
+    assert brute_first_cp_failure(cols, 1e-2) is None
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
 def test_subset_walk_at_fixed_cutoff_matches_brute_oracle(field):
     # the first n-subset, in lexicographic order, whose sigma_n is at or
-    # below max(tau, rtol * sigma_max(subset) * n)
+    # below tau, from the default cutoff rtol * sigma_max(frame) * n up
     for n, seed, cols in _shortcut_frames(field):
         m = cols.shape[1]
         smax = np.linalg.norm(cols, 2)
-        for tau in (0.0, 1e-3 * smax, 3e-2 * smax, 3e-1 * smax):
+        for tau in (1e-10 * smax * n, 1e-3 * smax, 3e-2 * smax, 3e-1 * smax):
             expect = None
             for combo in itertools.combinations(range(m), n):
                 s = np.linalg.svd(cols[:, combo], compute_uv=False)
-                if s[-1] <= max(tau, 1e-10 * s[0] * n):
+                if s[-1] <= tau:
                     expect = combo
                     break
-            assert _first_deficient_subset(cols, DEFAULT_TOL, tau) == expect, (n, seed, tau)
+            assert _first_deficient_subset(cols, tau) == expect, (n, seed, tau)
 
 
 @pytest.mark.parametrize("rtol", _RTOLS)
@@ -341,6 +334,14 @@ def test_full_spark_capacity():
     cols = np.hstack([np.eye(3), np.ones((3, 1))])
     with pytest.raises(CapacityError):
         full_spark(real_frame(cols), cap=2)
+
+
+def test_full_spark_judges_subsets_at_size_n():
+    # a generic frame whose smallest subset sigma_5 sits 3.2 times above
+    # rtol * sigma_max(frame) * n: a cutoff with size factor m = 26 would
+    # report a deficient subset
+    cols = np.random.default_rng((5, 2, 33)).standard_normal((5, 26))
+    assert full_spark(real_frame(cols)) is None
 
 
 @settings(max_examples=50, deadline=None)

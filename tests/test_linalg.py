@@ -103,6 +103,13 @@ def test_rank_never_drops_when_appending(n, m, seed):
     assert numerical_rank(np.hstack([cols, extra])) >= numerical_rank(cols)
 
 
+def test_rank_unchanged_by_copies_of_a_column():
+    # the cutoff scales with the row count, not the column count, so 20
+    # copies of e1 do not push e2 and e3 under it
+    cols = np.hstack([np.eye(3), np.repeat(np.eye(3)[:, :1], 20, axis=1)])
+    assert numerical_rank(cols, Tolerances(rank_rtol=1e-2)) == 3
+
+
 # ---------------------------------------------------------------------------
 # orthonormalization and projectors
 
