@@ -49,8 +49,9 @@ _SCREEN_RATIO = 1e-8
 # rows per batch in both exact walks: the bipartition walk's (n^2, rows)
 # float64 screen array, n^2 * 32 KB, then fits a 2 MB L2 cache for n <= 7
 _CHUNK = 4096
-# the n-subset walk starts at this many rows and doubles up to _CHUNK, so
-# an early deficient subset costs little
+# the n-subset walk starts at this many rows and doubles up to _CHUNK, and
+# the bipartition walk keeps at most this many prefixes per block, so an
+# early deficient subset or failing bipartition costs little
 _FIRST_CHUNK = 64
 # most n-subsets either walk enumerates: full_spark's default cap, and the
 # budget of complement_property's full-spark shortcut
@@ -324,11 +325,22 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
     never returns a partition: when some n-subset falls at or below tau,
     the bipartition walk decides.
 
-    The walk runs only when m <= cap.  Each chunk of masks goes through
-    the Cholesky screen (_screen_spans at floor (2 tau)^2), which
-    certifies a side only when its sigma_n exceeds 2 tau.  Every
-    bipartition with no certified side is re-checked with exact SVD
-    ranks, so the answer and the witness do not depend on the screen.
+    The bipartition walk runs only when m <= cap.  It goes depth first
+    over blocks of mask prefixes, top bit first: a node fixes its top
+    bits, which assign a part of each side (side I: vector 1 and the
+    vectors of the unset bits; side I^c: those of the set bits).  A block
+    of at most _FIRST_CHUNK sorted prefixes goes down one level at a time,
+    and straight to its leaves, the full masks, once they fit _CHUNK
+    rows, so a frame with 2^(m-1) <= _CHUNK walks one flat chunk.  Every
+    node and leaf goes through the Cholesky screen (_screen_spans at
+    floor (2 tau)^2), which certifies a part only when its sigma_n
+    exceeds 2 tau.  A node with a certified part is dropped with its
+    whole subtree: every completion of that side has sigma_n > 2 tau and
+    spans, so no bipartition in it fails.  Surviving blocks are taken
+    lowest first, so leaves come in mask order, and every leaf with no
+    certified side is re-checked with exact SVD ranks in that order: the
+    first failing bipartition and its ranks do not depend on the screen
+    or the pruning.  The frontier holds at most two blocks per level.
     """
     n, m = f.dim, f.size
     v = f.vectors
@@ -342,16 +354,28 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
                             f"spark; the bipartition walk is capped at {cap}")
     table = _outer_table(v)
     nbits = m - 1
-    total = 1 << nbits
     shifts = np.arange(nbits, dtype=np.uint64)
-
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+    # each block: its unassigned low bit count and its sorted masks, whose
+    # unassigned bits are zero
+    stack = [(nbits, np.zeros(1, dtype=np.uint64))]
+    while stack:
+        left, masks = stack.pop()
+        step = left if masks.size << left <= _CHUNK else 1
+        left -= step
+        masks = (masks[:, None] + (np.arange(1 << step, dtype=np.uint64)
+                                   << np.uint64(left))).ravel()
         bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        sel_i = np.concatenate([np.ones((masks.size, 1)), 1.0 - bits], axis=1)
-        candidates = np.flatnonzero(_open_sides(table, sel_i, floor))
-        both = candidates[_open_sides(table, 1.0 - sel_i[candidates], floor)]
-        for row in both:
+        assigned = (shifts >= left).astype(np.float64)
+        sel_i = np.concatenate([np.ones((masks.size, 1)), assigned - bits], axis=1)
+        sel_ic = np.concatenate([np.zeros((masks.size, 1)), bits], axis=1)
+        rows = np.flatnonzero(_open_sides(table, sel_i, floor))
+        rows = rows[_open_sides(table, sel_ic[rows], floor)]
+        if left:
+            kept = masks[rows]
+            stack += [(left, kept[i:i + _FIRST_CHUNK])
+                      for i in range(0, kept.size, _FIRST_CHUNK)][::-1]
+            continue
+        for row in rows:
             mask = int(masks[row])
             side_i = (0,) + tuple(j + 1 for j in range(nbits) if not (mask >> j) & 1)
             side_ic = tuple(j + 1 for j in range(nbits) if (mask >> j) & 1)

@@ -20,6 +20,7 @@ from phaseret import (
     rank1_reduction,
     spanning_at,
 )
+from phaseret import frames
 from phaseret.certify import _sigma_eval
 from phaseret.frames import Subspace, _first_deficient_subset, _outer_table, _screen_spans
 
@@ -311,6 +312,76 @@ def test_cp_invariant_under_permutation_and_scaling(n, m, seed):
     perm = rng.permutation(m)
     scales = rng.uniform(0.5, 2.0, size=m)
     assert (complement_property(real_frame(cols[:, perm] * scales)) is None) == base
+
+
+def _pruned_walk_frames(field):
+    # the near-hyperplane sets, every fifth frame with its last vector a
+    # multiple of its first
+    for i, (n, seed, cols, _) in enumerate(_near_hyperplane_frames(field)):
+        if i % 5 == 4:
+            cols[:, -1] = 1.5 * cols[:, 0]
+        yield n, seed, cols
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_pruned_walk_matches_brute_oracle_at_every_rank_tolerance(rtol, field, monkeypatch):
+    # with 4-row chunks and 2-prefix blocks every walk of 8 or more
+    # bipartitions goes down the prefix levels, so on these small frames
+    # subtrees are pruned, and blocks split and must come back in mask order
+    monkeypatch.setattr(frames, "_CHUNK", 4)
+    monkeypatch.setattr(frames, "_FIRST_CHUNK", 2)
+    tol = Tolerances(rank_rtol=rtol)
+    for n, seed, cols in _pruned_walk_frames(field):
+        w = complement_property(Frame(cols, field), tol)
+        got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+        assert got == brute_first_cp_failure(cols, rtol), (n, seed)
+
+
+@pytest.mark.parametrize("n, m", [(4, 16), (4, 18), (6, 18)])
+def test_pruned_walk_skips_the_spanning_subtrees_of_a_late_failure(n, m, monkeypatch):
+    # m - k vectors in one hyperplane, then k = n - 1 generic ones: the only
+    # failing bipartition is the hyperplane against the rest, at mask
+    # 2^(m-1) - 2^(m-1-k), and every node that puts a generic vector and
+    # n - 1 hyperplane vectors on one side is certified and dropped
+    rng = np.random.default_rng((n, m))
+    k = n - 1
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    inside = q[:, :n - 1] @ rng.standard_normal((n - 1, m - k))
+    cols = np.concatenate([inside, rng.standard_normal((n, k))], axis=1)
+    screened = []
+
+    def counting_screen(table, sel, floor):
+        screened.append(sel.shape[0])
+        return _screen_spans(table, sel, floor)
+
+    monkeypatch.setattr(frames, "_screen_spans", counting_screen)
+    w = complement_property(real_frame(cols))
+    assert w == PartitionWitness(tuple(range(m - k)), tuple(range(m - k, m)), n - 1, n - 1)
+    assert sum(screened) < 2 ** (m - 1) / 10
+
+
+@pytest.mark.parametrize("cols, expect", [
+    (np.array([[2.0]]), None),
+    (np.array([[1.0, -2.0, 3.0]]), None),
+    (np.array([[1.0], [0.0]]), ((0,), (), 1, 0)),
+    (np.eye(3), ((0, 2), (1,), 2, 1)),
+    (np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]]),
+     ((0, 1, 2, 3), (), 2, 0)),
+    (np.repeat(np.eye(3), [5, 5, 4], axis=1),
+     ((0, 1, 2, 3, 4, 10, 11, 12, 13), (5, 6, 7, 8, 9), 2, 1)),
+    (np.repeat(np.eye(2), [8, 7], axis=1), ((0, 1, 2, 3, 4, 5, 6, 7), tuple(range(8, 15)), 1, 1)),
+], ids=["n1-m1", "n1-m3", "n2-m1", "eye3", "not-spanning", "eye3-repeated", "eye2-repeated"])
+def test_cp_edge_cases(cols, expect):
+    # the repeated bases walk 2^13 and 2^14 bipartitions, past one chunk.
+    # In the last, side I holds e1 and spans unless it has no copy of e2,
+    # and then I^c spans unless it is exactly the copies of e2: the only
+    # failure.  The oracle takes a second there, so it checks the others.
+    w = complement_property(real_frame(cols))
+    got = None if w is None else (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic)
+    assert got == expect
+    if cols.shape[1] < 15:
+        assert brute_first_cp_failure(cols) == expect
 
 
 # ---------------------------------------------------------------------------
