@@ -9,6 +9,7 @@ into an explicit bad point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,8 +47,12 @@ _STREAM_UNION = 2
 # rechecked exactly on the raw columns, so no answer depends on it.
 _SCREEN_RATIO = 1e-8
 
-# rows per batch in both exact walks: the bipartition walk's (n^2, rows)
-# float64 screen array, n^2 * 32 KB, then fits a 2 MB L2 cache for n <= 7
+# most rows per screen call in both exact walks.  The screen holds the
+# lower triangles of the rows' scatter matrices, (n(n+1)/2, rows): a real
+# chunk is n(n+1)/2 * 32 KB and fits a 2 MB L2 cache for n <= 10, a
+# complex one n(n+1)/2 * 64 KB (n <= 7), half the n^2 * 64 KB of full
+# complex matrices.  The bipartition walk screens both sides of a block of
+# up to _CHUNK masks, so it splits that pass into chunks
 _CHUNK = 4096
 # the n-subset walk starts at this many rows and doubles up to _CHUNK, and
 # the bipartition walk keeps at most this many prefixes per block, so an
@@ -219,44 +224,67 @@ def _side_rank(vectors: np.ndarray, idx, tau: float) -> int:
     return int(np.count_nonzero(np.linalg.svd(vectors[:, list(idx)], compute_uv=False) > tau))
 
 
-def _outer_table(vectors: np.ndarray) -> np.ndarray:
-    """Rows v_i v_i* of the scatter matrices, flattened to an (m, n^2) table.
+@functools.lru_cache(maxsize=None)
+def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the lower triangle of an n x n matrix,
+    column by column."""
+    c, r = np.triu_indices(n)
+    r.flags.writeable = c.flags.writeable = False
+    return r, c
 
-    The scatter matrix of a 0/1 membership row s is then s @ table.
+
+def _outer_table(vectors: np.ndarray) -> np.ndarray:
+    """Lower triangles of the v_i v_i*, packed column by column into an
+    (m, n(n+1)/2) table: column c of the triangle, rows c..n-1, sits in
+    columns c*n - c(c-1)/2 onwards.
+
+    The packed lower triangle of the scatter matrix of a 0/1 membership
+    row s is then s @ table.
     """
-    cols = vectors.T
-    return np.ascontiguousarray((cols[:, :, None] * cols[:, None, :].conj()).reshape(len(cols), -1))
+    rows, cols = _lower_triangle(vectors.shape[0])
+    return np.ascontiguousarray(vectors[rows].T * vectors[cols].T.conj())
+
+
+def _table_dim(table: np.ndarray) -> int:
+    """n of an _outer_table, from its n(n+1)/2 columns."""
+    return (math.isqrt(8 * table.shape[1] + 1) - 1) // 2
 
 
 def _screen_spans(table: np.ndarray, sel: np.ndarray, floor: float) -> np.ndarray:
     """Batched certain-spans screen over membership rows sel (k, m).
 
     table is _outer_table of the walk's vectors, so one product gives
-    every row's scatter matrix S = sum_i sel[i] v_i v_i*.  True means the
-    selected columns certainly span, False means undecided: a row is
-    certified when the Cholesky elimination of
-    S - max(ratio * tr(S), floor) * I completes with positive pivots,
-    which puts sigma_min of the selected columns above sqrt(floor) (see
-    _SCREEN_RATIO for the rounding margin).
+    the lower triangle of every row's scatter matrix
+    S = sum_i sel[i] v_i v_i*.  True means the selected columns certainly
+    span, False means undecided: a row is certified when the Cholesky
+    elimination of S - max(ratio * tr(S), floor) * I completes with
+    positive pivots, which puts sigma_min of the selected columns above
+    sqrt(floor) (see _SCREEN_RATIO for the rounding margin).
     """
     k = sel.shape[0]
-    n = math.isqrt(table.shape[1])
-    # one product for the whole chunk, laid out (n^2, k) so that every
+    n = _table_dim(table)
+    # one product for the whole chunk, laid out (n(n+1)/2, k) so that every
     # elimination step below runs over the chunk in contiguous rows
-    flat = table.T @ sel.T
-    flat[::n + 1] -= np.maximum(_SCREEN_RATIO * flat[::n + 1].real.sum(axis=0), floor)
-    a = flat.reshape(n, n, k)
+    a = table.T @ sel.T
+    diag = [c * n - c * (c - 1) // 2 for c in range(n)]
+    shift = np.maximum(_SCREEN_RATIO * a[diag].real.sum(axis=0), floor)
+    for d in diag:
+        a[d] -= shift
     alive = np.arange(k)
     # right-looking elimination: pivot, then the rank-1 Schur update of
-    # the trailing block; a row leaves at its first non-positive pivot
-    for _ in range(n):
-        piv = a[0, 0].real
+    # the trailing lower triangle, one packed column at a time; a row
+    # leaves at its first non-positive pivot
+    for size in range(n, 0, -1):
+        piv = a[0].real
         keep = piv > 0.0
         if not keep.all():
-            a, piv, alive = a[..., keep], piv[keep], alive[keep]
-        col = a[1:, 0] / np.sqrt(piv)
-        a = a[1:, 1:]
-        a -= col[:, None] * col[None, :].conj()
+            a, piv, alive = a[:, keep], piv[keep], alive[keep]
+        col = a[1:size] / np.sqrt(piv)
+        a = a[size:]
+        conj = col.conj()
+        for c in range(size - 1):
+            start = c * (size - 1) - c * (c - 1) // 2
+            a[start:start + size - 1 - c] -= col[c:] * conj[c]
     spans = np.zeros(k, dtype=bool)
     spans[alive] = True
     return spans
@@ -266,44 +294,86 @@ def _open_sides(table: np.ndarray, sel: np.ndarray, floor: float) -> np.ndarray:
     """Rows of sel whose side may fail to span.
 
     A side with fewer than n vectors cannot span; the rest are open
-    unless the screen certifies them.
+    unless the screen certifies them, _CHUNK rows per screen call.
     """
-    n = math.isqrt(table.shape[1])
-    is_open = sel.sum(axis=1) < n
+    is_open = sel.sum(axis=1) < _table_dim(table)
     rows = np.flatnonzero(~is_open)
-    if rows.size:
-        is_open[rows] = ~_screen_spans(table, sel[rows], floor)
+    for lo in range(0, rows.size, _CHUNK):
+        part = rows[lo:lo + _CHUNK]
+        is_open[part] = ~_screen_spans(table, sel[part], floor)
     return is_open
+
+
+@functools.lru_cache(maxsize=32)
+def _subsets_table(m: int, t: int) -> np.ndarray:
+    """Every t-subset of range(m), in lexicographic order, one per row.
+
+    Stored in the smallest unsigned type that holds m - 1 (uint8 up to
+    m = 256), and read-only, since the cache hands every caller the same
+    array.
+    """
+    combos = itertools.chain.from_iterable(itertools.combinations(range(m), t))
+    table = np.fromiter(combos, dtype=np.min_scalar_type(max(m - 1, 0)))
+    table = table.reshape(math.comb(m, t), t)
+    table.flags.writeable = False
+    return table
+
+
+def _subset_blocks(m: int, n: int):
+    """The n-subsets of range(m) in lexicographic order, as (rows, n)
+    blocks of ascending indices: _FIRST_CHUNK rows, doubling up to _CHUNK.
+
+    A subset is a head, its n // 2 smallest elements, and a tail, the
+    other t = n - n // 2.  The heads run over the (n // 2)-subsets of
+    range(m - t) in order, and the tails of a head are the rows of the
+    t-subset table of range(m) that start past its last element: a suffix
+    of that table.  A block is then one gather from each of the two cached
+    index tables (_subsets_table), with no per-subset Python.
+    """
+    t = n - n // 2
+    heads, tails = _subsets_table(m - t, n // 2), _subsets_table(m, t)
+    last = heads[:, -1].astype(np.intp) if n // 2 else np.full(1, -1)
+    first_tail = np.searchsorted(tails[:, 0].astype(np.intp), last + 1)
+    # position of each head's first subset, and one past its last
+    ends = np.cumsum(tails.shape[0] - first_tail)
+    begins = ends - (tails.shape[0] - first_tail)
+    lo, rows = 0, _FIRST_CHUNK
+    while lo < ends[-1]:
+        hi = min(lo + rows, ends[-1])
+        first, final = np.searchsorted(ends, [lo, hi - 1], side="right")
+        count = np.minimum(ends[first:final + 1], hi) - np.maximum(begins[first:final + 1], lo)
+        head = np.repeat(np.arange(first, final + 1), count)
+        tail = np.arange(lo, hi) - (begins - first_tail)[head]
+        yield np.concatenate([np.take(heads, head, axis=0), np.take(tails, tail, axis=0)], axis=1)
+        lo, rows = hi, min(2 * rows, _CHUNK)
 
 
 def _first_deficient_subset(v: np.ndarray, tau: float) -> tuple[int, ...] | None:
     """Lexicographically first n-subset of the columns of v that fails to
     span, as 0-based indices, or None when every n-subset spans.
 
-    A subset spans when its sigma_n exceeds the cutoff tau.  Each chunk of
-    subsets goes through the Cholesky screen (_screen_spans at floor
-    (2 tau)^2), and every subset it leaves undecided gets the exact
-    batched SVD, in order, so the first deficient subset is the one
-    returned.  Chunks start at _FIRST_CHUNK rows and double up to _CHUNK.
+    A subset spans when its sigma_n exceeds the cutoff tau.  The subsets
+    come in lexicographic blocks that numpy builds from two small cached
+    index tables (_subset_blocks): _FIRST_CHUNK rows, doubling up to
+    _CHUNK, so an early deficient subset costs little.  Each block goes
+    through one Cholesky screen call (_screen_spans at floor (2 tau)^2),
+    and every subset it leaves undecided gets the exact batched SVD, in
+    order, so the first deficient subset is the one returned.
     """
     n, m = v.shape
     table = _outer_table(v)
-    combos = itertools.combinations(range(m), n)
-    rows = _FIRST_CHUNK
-    while True:
-        block = itertools.chain.from_iterable(itertools.islice(combos, rows))
-        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n)
-        if not idx.size:
-            return None
-        rows = min(2 * rows, _CHUNK)
+    for idx in _subset_blocks(m, n):
         sel = np.zeros((idx.shape[0], m))
-        np.put_along_axis(sel, idx, 1.0, axis=1)
+        # a one at each chosen column's flat position
+        sel.reshape(-1)[(idx + np.arange(0, sel.size, m)[:, None]).ravel()] = 1.0
         idx = idx[~_screen_spans(table, sel, (2.0 * tau) ** 2)]
-        sub = v[:, idx].transpose(1, 0, 2)  # (k, n, n), columns idx[k]
-        s = np.linalg.svd(sub, compute_uv=False)
+        if not idx.size:
+            continue
+        s = np.linalg.svd(v[:, idx].transpose(1, 0, 2), compute_uv=False)
         deficient = np.flatnonzero(s[:, -1] <= tau)
         if deficient.size:
             return tuple(int(j) for j in idx[deficient[0]])
+    return None
 
 
 def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
@@ -328,19 +398,24 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
     The bipartition walk runs only when m <= cap.  It goes depth first
     over blocks of mask prefixes, top bit first: a node fixes its top
     bits, which assign a part of each side (side I: vector 1 and the
-    vectors of the unset bits; side I^c: those of the set bits).  A block
-    of at most _FIRST_CHUNK sorted prefixes goes down one level at a time,
-    and straight to its leaves, the full masks, once they fit _CHUNK
-    rows, so a frame with 2^(m-1) <= _CHUNK walks one flat chunk.  Every
-    node and leaf goes through the Cholesky screen (_screen_spans at
-    floor (2 tau)^2), which certifies a part only when its sigma_n
-    exceeds 2 tau.  A node with a certified part is dropped with its
-    whole subtree: every completion of that side has sigma_n > 2 tau and
-    spans, so no bipartition in it fails.  Surviving blocks are taken
-    lowest first, so leaves come in mask order, and every leaf with no
-    certified side is re-checked with exact SVD ranks in that order: the
-    first failing bipartition and its ranks do not depend on the screen
-    or the pruning.  The frontier holds at most two blocks per level.
+    vectors of the unset bits; side I^c: those of the set bits).  Above
+    depth n-1 no part holds n vectors and nothing can be pruned, so the
+    root goes to depth n-1 in one step (or further, up to 2 * _FIRST_CHUNK
+    rows).  Below it, a block of at most _FIRST_CHUNK sorted prefixes goes
+    down as many levels as keep it within 2 * _FIRST_CHUNK rows, one for a
+    full block, and straight to its leaves, the full masks, once they fit
+    _CHUNK rows, so a frame with 2^(m-1) <= _CHUNK walks one flat chunk.
+    The parts of both sides of every node and leaf go through the
+    Cholesky screen in one pass (_open_sides, _screen_spans at floor
+    (2 tau)^2), which certifies a part only when its sigma_n exceeds
+    2 tau.  A node with a certified part is dropped with its whole
+    subtree: every completion of that side has sigma_n > 2 tau and spans,
+    so no bipartition in it fails.  Surviving blocks are taken lowest
+    first, so leaves come in mask order, and every leaf with no certified
+    side is re-checked with exact SVD ranks in that order: the first
+    failing bipartition and its ranks do not depend on the screen or the
+    pruning.  Below the first step the frontier holds at most two blocks
+    per level.
     """
     n, m = f.dim, f.size
     v = f.vectors
@@ -354,22 +429,34 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
                             f"spark; the bipartition walk is capped at {cap}")
     table = _outer_table(v)
     nbits = m - 1
-    shifts = np.arange(nbits, dtype=np.uint64)
     # each block: its unassigned low bit count and its sorted masks, whose
     # unassigned bits are zero
     stack = [(nbits, np.zeros(1, dtype=np.uint64))]
     while stack:
         left, masks = stack.pop()
-        step = left if masks.size << left <= _CHUNK else 1
+        if masks.size << left <= _CHUNK:
+            step = left
+        else:
+            # as many levels as keep the block within 2 * _FIRST_CHUNK rows,
+            # and within _CHUNK rows all levels above depth n-1, where no
+            # part holds n vectors and so nothing can be pruned
+            fit = (2 * _FIRST_CHUNK // masks.size).bit_length() - 1
+            room = (_CHUNK // masks.size).bit_length() - 1
+            step = max(1, min(room, max(fit, n - 1 - (nbits - left))))
         left -= step
         masks = (masks[:, None] + (np.arange(1 << step, dtype=np.uint64)
                                    << np.uint64(left))).ravel()
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        assigned = (shifts >= left).astype(np.float64)
-        sel_i = np.concatenate([np.ones((masks.size, 1)), assigned - bits], axis=1)
-        sel_ic = np.concatenate([np.zeros((masks.size, 1)), bits], axis=1)
-        rows = np.flatnonzero(_open_sides(table, sel_i, floor))
-        rows = rows[_open_sides(table, sel_ic[rows], floor)]
+        # bit j of every mask, from its little-endian bytes
+        bits = np.unpackbits(masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                             axis=1, count=nbits, bitorder="little")
+        # the parts of side I over those of side I^c, in one screen pass
+        sel = np.zeros((2, masks.size, m))
+        sel[0, :, 0] = 1.0
+        sel[0, :, 1:] = np.arange(nbits) >= left
+        sel[0, :, 1:] -= bits
+        sel[1, :, 1:] = bits
+        is_open = _open_sides(table, sel.reshape(2 * masks.size, m), floor)
+        rows = np.flatnonzero(is_open[:masks.size] & is_open[masks.size:])
         if left:
             kept = masks[rows]
             stack += [(left, kept[i:i + _FIRST_CHUNK])
@@ -397,9 +484,9 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     lexicographically first rank-deficient subset (0-based indices).
 
     Subsets are judged at complement_property's one cutoff tau: the walk
-    (_first_deficient_subset) screens each chunk of subsets and gives
-    every subset the screen leaves undecided the exact batched SVD test
-    sigma_n > tau, in order.
+    (_first_deficient_subset) screens each lexicographic block of subsets
+    and gives every subset the screen leaves undecided the exact batched
+    SVD test sigma_n > tau, in order.
     """
     n, m = f.dim, f.size
     if m < n:

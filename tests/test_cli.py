@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +326,44 @@ def test_explicit_seed_beats_env(tmp_path, monkeypatch, capsys):
     main(["gen", "--kind", "random-proj", "--n", "2", "--ranks", "1",
           "--field", "real", "--seed", "3", "--out", out])
     assert "seed = 3" in capsys.readouterr().out
+
+
+def test_one_process_reports_match_fresh_processes(tmp_path):
+    # main builds its parser once per process: a command run after other,
+    # different commands reports exactly what it reports as the only
+    # command of a fresh interpreter, so no flag or default carries over
+    frame = write_frame(tmp_path, pr.Frame(np.array([[1.0, 0.0, 1.0, 2.0],
+                                                     [0.0, 1.0, 1.0, -1.0]]), pr.Field.REAL))
+    commands = {
+        "cp-flags": ["check-cp", frame, "--tol-rank", "1e-3", "--seed", "4", "--cap", "10"],
+        "cp-defaults": ["check-cp", frame],
+        "spark": ["check-spark", frame, "--tol-rank", "1e-2"],
+        "gen": ["gen", "--kind", "random-proj", "--n", "3", "--ranks", "1,2",
+                "--field", "complex"],
+    }
+
+    def run(name, fresh):
+        out = tmp_path / f"{name}.json"
+        argv = commands[name] + ["--out", str(out)]
+        if fresh:
+            src = str(Path(__file__).resolve().parents[1] / "src")
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            code = subprocess.run([sys.executable, "-m", "phaseret.cli", *argv], env=env,
+                                  capture_output=True).returncode
+        else:
+            code = main(argv)
+        report = json.loads(out.read_text())
+        report.pop("wall_time_s", None)
+        return code, report
+
+    order = ["cp-flags", "cp-defaults", "spark", "gen", "cp-defaults", "cp-flags"]
+    in_process = [(name, run(name, False)) for name in order]
+    fresh = {name: run(name, True) for name in commands}
+    assert fresh["cp-flags"][1]["config"]["rank_rtol"] == 1e-3
+    assert fresh["cp-defaults"][1]["config"]["rank_rtol"] != 1e-3
+    for name, got in in_process:
+        assert got == fresh[name], name
 
 
 def test_version_flag(capsys):

@@ -263,6 +263,88 @@ def test_subset_walk_at_fixed_cutoff_matches_brute_oracle(field):
             assert _first_deficient_subset(cols, tau) == expect, (n, seed, tau)
 
 
+@pytest.mark.parametrize("chunks", [None, (4, 2)], ids=["default-blocks", "4-row-blocks"])
+def test_subset_blocks_are_the_combinations_in_order(chunks, monkeypatch):
+    # every n-subset of range(m), 1 <= n <= m <= 12, in lexicographic order,
+    # in blocks of _FIRST_CHUNK rows doubling up to _CHUNK
+    if chunks:
+        monkeypatch.setattr(frames, "_CHUNK", chunks[0])
+        monkeypatch.setattr(frames, "_FIRST_CHUNK", chunks[1])
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            blocks = list(frames._subset_blocks(m, n))
+            got = [tuple(row) for b in blocks for row in b.tolist()]
+            assert got == list(itertools.combinations(range(m), n)), (m, n)
+            rows = frames._FIRST_CHUNK
+            for b in blocks[:-1]:
+                assert b.shape[0] == rows, (m, n)
+                rows = min(2 * rows, frames._CHUNK)
+            assert 0 < blocks[-1].shape[0] <= rows, (m, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_subset_blocks_past_one_byte_of_indices(n):
+    # m = 300 vectors: the index tables move past uint8, and every index
+    # from 0 to 299 still comes out as itself
+    assert frames._subsets_table(300, 1).dtype == np.uint16
+    got = [tuple(row) for b in frames._subset_blocks(300, n) for row in b.tolist()]
+    assert got == list(itertools.combinations(range(300), n))
+
+
+def test_full_spark_past_one_byte_of_indices():
+    # 300 distinct lines in R^2 are full spark; repeating line 5 as vector
+    # 280 makes (5, 280) the first dependent pair, past index 255
+    angles = np.linspace(0.0, np.pi, 300, endpoint=False)
+    cols = np.vstack([np.cos(angles), np.sin(angles)])
+    assert full_spark(real_frame(cols)) is None
+    cols[:, 280] = 2.0 * cols[:, 5]
+    assert full_spark(real_frame(cols)) == (5, 280)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+def test_subset_walk_in_small_blocks_matches_brute_oracle(field, monkeypatch):
+    # 2-row first blocks growing to 4 rows: the first deficient subset at
+    # every cutoff comes out the same across many block boundaries
+    monkeypatch.setattr(frames, "_CHUNK", 4)
+    monkeypatch.setattr(frames, "_FIRST_CHUNK", 2)
+    frames_ = [(n, seed, cols) for n, seed, cols, _ in _near_hyperplane_frames(field)]
+    frames_ += list(_shortcut_frames(field))
+    for n, seed, cols in frames_:
+        smax = np.linalg.norm(cols, 2)
+        for rtol in _RTOLS:
+            assert _first_deficient_subset(cols, rtol * smax * n) == \
+                brute_full_spark(cols, rtol), (n, seed, rtol)
+
+
+def test_no_screen_call_takes_more_than_one_chunk(monkeypatch):
+    # both walks hand the screen at most _CHUNK rows per call: the subset
+    # walk's blocks stop doubling there, and the bipartition walk splits
+    # the two sides of a leaf block (up to 2 * _CHUNK rows) into chunks
+    screened = []
+
+    def counting_screen(table, sel, floor):
+        assert sel.shape[0] <= frames._CHUNK
+        screened.append(sel.shape[0])
+        return _screen_spans(table, sel, floor)
+
+    monkeypatch.setattr(frames, "_screen_spans", counting_screen)
+    rng = np.random.default_rng(16)
+    assert full_spark(real_frame(rng.standard_normal((6, 18)))) is None
+    assert max(screened) == frames._CHUNK and len(screened) > 7
+    screened.clear()
+    # the full-spark shortcut fails on its first block, then the walk runs
+    # past one chunk to the failing bipartition
+    w = complement_property(real_frame(np.repeat(np.eye(4), [6, 6, 6, 5], axis=1)))
+    assert (w.side_Ic, w.rank_I, w.rank_Ic) == (tuple(range(6, 12)), 3, 1)
+    assert screened.count(frames._CHUNK) >= 2
+    monkeypatch.setattr(frames, "_CHUNK", 4)
+    monkeypatch.setattr(frames, "_FIRST_CHUNK", 2)
+    screened.clear()
+    for _, _, cols in _pruned_walk_frames(Field.REAL):
+        complement_property(real_frame(cols))
+    assert max(screened) == 4
+
+
 @pytest.mark.parametrize("rtol", _RTOLS)
 def test_spanning_at_matches_brute_oracle_at_every_rank_tolerance(rtol):
     # at the hyperplane's normal the near-hyperplane images are small, so
