@@ -305,16 +305,17 @@ def _open_sides(table: np.ndarray, sel: np.ndarray, floor: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _subsets_table(m: int, t: int) -> np.ndarray:
-    """Every t-subset of range(m), in lexicographic order, one per row.
+def _subsets_table(start: int, m: int, t: int) -> np.ndarray:
+    """Every t-subset of range(start, m), in lexicographic order, one per
+    row.
 
     Stored in the smallest unsigned type that holds m - 1 (uint8 up to
     m = 256), and read-only, since the cache hands every caller the same
     array.
     """
-    combos = itertools.chain.from_iterable(itertools.combinations(range(m), t))
+    combos = itertools.chain.from_iterable(itertools.combinations(range(start, m), t))
     table = np.fromiter(combos, dtype=np.min_scalar_type(max(m - 1, 0)))
-    table = table.reshape(math.comb(m, t), t)
+    table = table.reshape(math.comb(m - start, t), t)
     table.flags.writeable = False
     return table
 
@@ -323,16 +324,19 @@ def _subset_blocks(m: int, n: int):
     """The n-subsets of range(m) in lexicographic order, as (rows, n)
     blocks of ascending indices: _FIRST_CHUNK rows, doubling up to _CHUNK.
 
-    A subset is a head, its n // 2 smallest elements, and a tail, the
-    other t = n - n // 2.  The heads run over the (n // 2)-subsets of
-    range(m - t) in order, and the tails of a head are the rows of the
-    t-subset table of range(m) that start past its last element: a suffix
-    of that table.  A block is then one gather from each of the two cached
-    index tables (_subsets_table), with no per-subset Python.
+    A subset is a head, its h = n // 2 smallest elements, and a tail, the
+    other t = n - h.  The heads run over the h-subsets of range(m - t) in
+    order, and the tails of a head are the rows of the t-subset table of
+    range(h, m) that start past its last element: a suffix of that table.
+    A block is then one gather from each of the two cached index tables
+    (_subsets_table), with no per-subset Python.  Neither table has more
+    rows than there are n-subsets: a head plus the last t indices, or the
+    first h indices plus a tail, is an n-subset of its own.
     """
-    t = n - n // 2
-    heads, tails = _subsets_table(m - t, n // 2), _subsets_table(m, t)
-    last = heads[:, -1].astype(np.intp) if n // 2 else np.full(1, -1)
+    h = n // 2
+    t = n - h
+    heads, tails = _subsets_table(0, m - t, h), _subsets_table(h, m, t)
+    last = heads[:, -1].astype(np.intp) if h else np.full(1, -1)
     first_tail = np.searchsorted(tails[:, 0].astype(np.intp), last + 1)
     # position of each head's first subset, and one past its last
     ends = np.cumsum(tails.shape[0] - first_tail)

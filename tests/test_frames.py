@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -286,7 +287,8 @@ def test_subset_blocks_are_the_combinations_in_order(chunks, monkeypatch):
 def test_subset_blocks_past_one_byte_of_indices(n):
     # m = 300 vectors: the index tables move past uint8, and every index
     # from 0 to 299 still comes out as itself
-    assert frames._subsets_table(300, 1).dtype == np.uint16
+    assert frames._subsets_table(0, 300, 1).dtype == np.uint16
+    assert frames._subsets_table(299, 300, 1).tolist() == [[299]]
     got = [tuple(row) for b in frames._subset_blocks(300, n) for row in b.tolist()]
     assert got == list(itertools.combinations(range(300), n))
 
@@ -299,6 +301,40 @@ def test_full_spark_past_one_byte_of_indices():
     assert full_spark(real_frame(cols)) is None
     cols[:, 280] = 2.0 * cols[:, 5]
     assert full_spark(real_frame(cols)) == (5, 280)
+
+
+def _bound_index_tables(monkeypatch):
+    # fail before building any index table with more rows than the limit,
+    # which a test sets to the number of subsets the table serves
+    build, limit = frames._subsets_table, [0]
+
+    def bounded(start, stop, t):
+        assert math.comb(stop - start, t) <= limit[0], (start, stop, t)
+        return build(start, stop, t)
+
+    monkeypatch.setattr(frames, "_subsets_table", bounded)
+    return limit
+
+
+@pytest.mark.parametrize("n, m", [(30, 30), (30, 31), (29, 31), (24, 24), (26, 26)])
+def test_near_square_subset_walk_builds_small_tables(n, m, monkeypatch):
+    # m close to n leaves few n-subsets, and the index tables stay as few;
+    # summing columns 0 and 1 into the last makes the first n - 1 columns
+    # and the last one the first deficient subset
+    _bound_index_tables(monkeypatch)[0] = math.comb(m, n)
+    cols = np.random.default_rng((n, m)).standard_normal((n, m))
+    assert full_spark(real_frame(cols)) is None
+    cols[:, m - 1] = cols[:, 0] + cols[:, 1]
+    assert full_spark(real_frame(cols)) == tuple(range(n - 1)) + (m - 1,)
+
+
+def test_index_tables_never_outgrow_the_subsets(monkeypatch):
+    limit = _bound_index_tables(monkeypatch)
+    for m in range(1, 41):
+        for n in range(1, m + 1):
+            limit[0] = math.comb(m, n)
+            if limit[0] <= 200_000:
+                next(frames._subset_blocks(m, n))
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
