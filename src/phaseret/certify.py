@@ -199,7 +199,7 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
     return witness
 
 
-def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) -> Verdict:
+def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     """Exact phase-retrieval decision for a real frame (rank-1 projections).
 
     The complement property is decidable by finite enumeration and, over
@@ -215,14 +215,12 @@ def decide_real_rank1(f: Frame, tol: Tolerances = DEFAULT_TOL, cap: int = 24) ->
     verdict then carries its partition but no witness or point.  No
     complex analogue exists; complex input is rejected.
 
-    complement_property certifies CP through full spark when m >= 2n-1,
-    at any frame size within its subset budget; cap bounds only its
-    bipartition walk, and past it a frame that is not certified that way
-    raises CapacityError.
+    A frame whose complement-property walk would screen more rows than
+    its budget raises CapacityError, whatever its size.
     """
     if f.field is not Field.REAL:
         raise FieldError("exact complement-property decision applies to real frames only")
-    w = complement_property(f, tol, cap=cap)
+    w = complement_property(f, tol)
     if w is None:
         return Verdict(Status.CERTIFIED_HOLDS, method="complement-property")
     p = ProjectionFamily.from_frame(f, tol)
@@ -382,9 +380,9 @@ def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> 
     """Hunt for a point where the images {P_i x} fail to span.
 
     Real rank-1 families get an exact verdict through the frame reduction
-    and the complement property when the bipartition walk's cap admits
-    them or the full-spark shortcut certifies them (see
-    decide_real_rank1).  Everything else is search: each found point x
+    and the complement property when the bipartition walk stays within
+    its row budget (see decide_real_rank1).  Everything else, and a real
+    frame whose walk exceeds that budget, is search: each found point x
     comes with a unit w orthogonal to every P_i x, which makes
     (x+w, x-w) a witness pair (see pr_witness_from_nonspanning); the
     first pair that re-verifies is returned with its point.  Exhausting

@@ -105,7 +105,7 @@ def _fmt_indices(idx) -> str:
 def _cmd_check_cp(args, argv, started) -> int:
     tol = _tolerances(args)
     f = serialize.load_frame(args.input)
-    w = complement_property(f, tol, cap=args.cap)
+    w = complement_property(f, tol)
     if w is None:
         print("complement property: holds")
         results = {"holds": True, "witness": None}
@@ -340,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-cp", help="exact complement-property check on a frame")
     sp.add_argument("input", help="frame file (JSON, or CSV for real frames)")
-    sp.add_argument("--cap", type=int, default=24,
-                    help="max frame size for the bipartition walk (a full-spark frame "
-                         "with m >= 2n-1 holds at any size within the subset budget)")
     _add_tol_flags(sp)
     sp.set_defaults(func=_cmd_check_cp)
 

@@ -7,7 +7,7 @@ CapacityError into an NA cell instead of aborting).
 
 
 class CapacityError(ValueError):
-    """An enumeration would exceed its configured cap."""
+    """An enumeration would exceed its cap or work budget."""
 
 
 class FieldError(ValueError):

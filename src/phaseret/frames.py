@@ -58,9 +58,13 @@ _CHUNK = 4096
 # the bipartition walk keeps at most this many prefixes per block, so an
 # early deficient subset or failing bipartition costs little
 _FIRST_CHUNK = 64
-# most n-subsets either walk enumerates: full_spark's default cap, and the
-# budget of complement_property's full-spark shortcut
+# most n-subsets full_spark enumerates by default (its cap)
 _SUBSET_BUDGET = 5_000_000
+# most rows complement_property's walk screens, two per node.  With at most
+# 2^d nodes at depth d <= m-1 it screens under 2^(m+1) rows however little
+# it prunes, so no frame of m <= 24 vectors is refused; past that, the cost
+# is set by how early the parts span, not by m.
+_WALK_BUDGET = 2 ** 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,11 +300,12 @@ def _open_sides(table: np.ndarray, sel: np.ndarray, floor: float) -> np.ndarray:
     A side with fewer than n vectors cannot span; the rest are open
     unless the screen certifies them, _CHUNK rows per screen call.
     """
-    is_open = sel.sum(axis=1) < _table_dim(table)
+    is_open = sel @ np.ones(sel.shape[1]) < _table_dim(table)
     rows = np.flatnonzero(~is_open)
     for lo in range(0, rows.size, _CHUNK):
         part = rows[lo:lo + _CHUNK]
-        is_open[part] = ~_screen_spans(table, sel[part], floor)
+        chunk = sel[lo:lo + _CHUNK] if rows.size == sel.shape[0] else sel[part]
+        is_open[part] = ~_screen_spans(table, chunk, floor)
     return is_open
 
 
@@ -380,8 +385,15 @@ def _first_deficient_subset(v: np.ndarray, tau: float) -> tuple[int, ...] | None
     return None
 
 
-def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
-                        cap: int = 24) -> PartitionWitness | None:
+@functools.lru_cache(maxsize=None)
+def _counting_bits(step: int) -> np.ndarray:
+    """Row k holds the bits of k, low bit first, for k < 2^step."""
+    table = (np.arange(1 << step)[:, None] >> np.arange(step) & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL) -> PartitionWitness | None:
     """Exact complement-property check.
 
     Returns None when every bipartition has a spanning side, else the
@@ -393,83 +405,74 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL,
     it spans when its sigma_n exceeds tau.  sigma_n only grows as vectors
     are added, so a side spans whenever some part of it does.
 
-    Full-spark shortcut: when m >= 2n-1 and the C(m, n) n-subsets are
-    within _SUBSET_BUDGET, every bipartition has a side of n or more
-    vectors, so CP holds when every n-subset spans at tau.  The shortcut
-    never returns a partition: when some n-subset falls at or below tau,
-    the bipartition walk decides.
-
-    The bipartition walk runs only when m <= cap.  It goes depth first
-    over blocks of mask prefixes, top bit first: a node fixes its top
-    bits, which assign a part of each side (side I: vector 1 and the
-    vectors of the unset bits; side I^c: those of the set bits).  Above
-    depth n-1 no part holds n vectors and nothing can be pruned, so the
-    root goes to depth n-1 in one step (or further, up to 2 * _FIRST_CHUNK
-    rows).  Below it, a block of at most _FIRST_CHUNK sorted prefixes goes
-    down as many levels as keep it within 2 * _FIRST_CHUNK rows, one for a
-    full block, and straight to its leaves, the full masks, once they fit
-    _CHUNK rows, so a frame with 2^(m-1) <= _CHUNK walks one flat chunk.
-    The parts of both sides of every node and leaf go through the
-    Cholesky screen in one pass (_open_sides, _screen_spans at floor
-    (2 tau)^2), which certifies a part only when its sigma_n exceeds
-    2 tau.  A node with a certified part is dropped with its whole
-    subtree: every completion of that side has sigma_n > 2 tau and spans,
-    so no bipartition in it fails.  Surviving blocks are taken lowest
-    first, so leaves come in mask order, and every leaf with no certified
-    side is re-checked with exact SVD ranks in that order: the first
-    failing bipartition and its ranks do not depend on the screen or the
-    pruning.  Below the first step the frontier holds at most two blocks
-    per level.
+    One walk decides every frame, depth first over blocks of mask
+    prefixes, top bit first, each a (rows, m-1) 0/1 array of mask bits: a
+    node fixes its top bits, which assign a part of each side (side I:
+    vector 1 and the vectors of the unset bits; side I^c: those of the set
+    bits).  Above depth n-1 no part holds n vectors and nothing can be
+    pruned, so the root goes to depth n-1 in one step (or further, up to
+    2 * _FIRST_CHUNK rows).  Below it, a block of at most _FIRST_CHUNK
+    sorted prefixes goes down as many levels as keep it within
+    2 * _FIRST_CHUNK rows, one for a full block, and straight to its
+    leaves, the full masks, once they fit _CHUNK rows, so a frame with
+    2^(m-1) <= _CHUNK walks one flat chunk.  The parts of both sides of
+    every node and leaf go through the Cholesky screen in one pass
+    (_open_sides, _screen_spans at floor (2 tau)^2), which certifies a
+    part only when its sigma_n exceeds 2 tau.  A node with a certified
+    part is dropped with its whole subtree: every completion of that side
+    has sigma_n > 2 tau and spans, so no bipartition in it fails.
+    Surviving blocks are taken lowest first, so leaves come in mask
+    order, and every leaf with no certified side is re-checked with exact
+    SVD ranks in that order: the first failing bipartition and its ranks
+    do not depend on the screen or the pruning.  Below the first step the
+    frontier holds at most two blocks per level.  The walk screens two
+    rows per node and raises CapacityError past _WALK_BUDGET of them.
     """
     n, m = f.dim, f.size
     v = f.vectors
     tau = rank_cutoff(np.linalg.norm(v, 2), n, tol)
     floor = (2.0 * tau) ** 2
-    if m >= 2 * n - 1 and math.comb(m, n) <= _SUBSET_BUDGET:
-        if _first_deficient_subset(v, tau) is None:
-            return None
-    if m > cap:
-        raise CapacityError(f"frame has {m} vectors and was not certified through full "
-                            f"spark; the bipartition walk is capped at {cap}")
     table = _outer_table(v)
     nbits = m - 1
-    # each block: its unassigned low bit count and its sorted masks, whose
-    # unassigned bits are zero
-    stack = [(nbits, np.zeros(1, dtype=np.uint64))]
+    screened = 0
+    # each block: its unassigned low bit count and the bits of its sorted
+    # masks, one row each, whose unassigned bits are zero
+    stack = [(nbits, np.zeros((1, nbits), dtype=np.uint8))]
     while stack:
-        left, masks = stack.pop()
-        if masks.size << left <= _CHUNK:
+        left, bits = stack.pop()
+        rows = bits.shape[0]
+        if rows << left <= _CHUNK:
             step = left
         else:
             # as many levels as keep the block within 2 * _FIRST_CHUNK rows,
             # and within _CHUNK rows all levels above depth n-1, where no
             # part holds n vectors and so nothing can be pruned
-            fit = (2 * _FIRST_CHUNK // masks.size).bit_length() - 1
-            room = (_CHUNK // masks.size).bit_length() - 1
+            fit = (2 * _FIRST_CHUNK // rows).bit_length() - 1
+            room = (_CHUNK // rows).bit_length() - 1
             step = max(1, min(room, max(fit, n - 1 - (nbits - left))))
         left -= step
-        masks = (masks[:, None] + (np.arange(1 << step, dtype=np.uint64)
-                                   << np.uint64(left))).ravel()
-        # bit j of every mask, from its little-endian bytes
-        bits = np.unpackbits(masks.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
-                             axis=1, count=nbits, bitorder="little")
+        # each mask followed by its 2^step children, the new bits counting up
+        bits = np.repeat(bits, 1 << step, axis=0)
+        bits.reshape(rows, 1 << step, nbits)[:, :, left:left + step] = _counting_bits(step)
+        rows = bits.shape[0]
+        screened += 2 * rows
+        if screened > _WALK_BUDGET:
+            raise CapacityError(f"the CP walk needs more than {_WALK_BUDGET} screened rows")
         # the parts of side I over those of side I^c, in one screen pass
-        sel = np.zeros((2, masks.size, m))
+        sel = np.zeros((2, rows, m))
         sel[0, :, 0] = 1.0
         sel[0, :, 1:] = np.arange(nbits) >= left
         sel[0, :, 1:] -= bits
         sel[1, :, 1:] = bits
-        is_open = _open_sides(table, sel.reshape(2 * masks.size, m), floor)
-        rows = np.flatnonzero(is_open[:masks.size] & is_open[masks.size:])
+        is_open = _open_sides(table, sel.reshape(2 * rows, m), floor)
+        bits = bits[is_open[:rows] & is_open[rows:]]
         if left:
-            kept = masks[rows]
-            stack += [(left, kept[i:i + _FIRST_CHUNK])
-                      for i in range(0, kept.size, _FIRST_CHUNK)][::-1]
+            stack += [(left, bits[i:i + _FIRST_CHUNK])
+                      for i in range(0, bits.shape[0], _FIRST_CHUNK)][::-1]
             continue
-        for row in rows:
-            mask = int(masks[row])
-            side_i = (0,) + tuple(j + 1 for j in range(nbits) if not (mask >> j) & 1)
-            side_ic = tuple(j + 1 for j in range(nbits) if (mask >> j) & 1)
+        for row in bits.tolist():
+            side_i = (0,) + tuple(j + 1 for j, bit in enumerate(row) if not bit)
+            side_ic = tuple(j + 1 for j, bit in enumerate(row) if bit)
             rank_i = _side_rank(v, side_i, tau)
             if rank_i == n:
                 continue

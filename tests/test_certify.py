@@ -7,6 +7,7 @@ from phaseret import (
     Field,
     FieldError,
     Frame,
+    PartitionWitness,
     ProjectionFamily,
     SearchConfig,
     Status,
@@ -28,6 +29,7 @@ from phaseret import (
     verify_pr_witness,
 )
 import phaseret.certify as certify
+import phaseret.frames as frames
 from phaseret.certify import _lifted_stack
 from phaseret.linalg import rank_cutoff
 
@@ -219,24 +221,28 @@ def test_decide_rejects_complex():
         decide_real_rank1(f)
 
 
-def test_decide_capacity():
-    # a repeated vector is never full spark, so past the cap the shortcut
-    # cannot certify and the capped bipartition walk is all that is left
+def test_decide_capacity(monkeypatch):
+    # the bipartition walk is bounded by the rows it screens, not by m: a
+    # walk that needs more than _WALK_BUDGET of them is refused
     cols = np.vstack([np.ones(30), np.arange(30)])
     cols[:, -1] = cols[:, 0]
-    with pytest.raises(pr.CapacityError, match="not certified through full spark"):
-        decide_real_rank1(Frame(cols, Field.REAL), cap=8)
+    monkeypatch.setattr(frames, "_WALK_BUDGET", 8)
+    with pytest.raises(pr.CapacityError, match="more than 8 screened rows"):
+        decide_real_rank1(Frame(cols, Field.REAL))
 
 
 def test_decide_past_cap_certifies_full_spark_frame():
-    # m = 30 > 24 and m >= 2n-1: every 3-subset spans, so CP holds exactly
+    # m = 30, past the old cap of 24, and m >= 2n-1: every 3-subset spans,
+    # so CP holds, and the bipartition walk certifies it within its budget
     v = decide_real_rank1(gen_random_frame(3, 30, Field.REAL, seed=0))
     assert v.status is Status.CERTIFIED_HOLDS and v.method == "complement-property"
 
 
-def test_decide_past_cap_over_subset_budget_raises():
-    # C(32, 8) = 10518300 n-subsets exceed the budget, so no shortcut runs
-    with pytest.raises(pr.CapacityError, match="capped at 24"):
+def test_decide_past_cap_over_subset_budget_raises(monkeypatch):
+    # C(32, 8) = 10518300 n-subsets, more than full_spark's budget, do not
+    # matter to the walk; its own row budget does
+    monkeypatch.setattr(frames, "_WALK_BUDGET", 1000)
+    with pytest.raises(pr.CapacityError, match="more than 1000 screened rows"):
         decide_real_rank1(gen_random_frame(8, 32, Field.REAL, seed=0))
 
 
@@ -302,12 +308,16 @@ def test_spanning_falsifier_search_path():
     assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
 
 
-def test_spanning_falsifier_past_cap_searches_generic_frame():
-    # m = 30 > 24 with a repeated vector, so not full spark: no exact CP
-    # verdict, the search runs instead and finds nothing (CP holds)
+def test_spanning_falsifier_past_cap_searches_generic_frame(monkeypatch):
+    # m = 30 with a repeated vector, so not full spark: the walk certifies
+    # CP within its row budget; past that budget there is no exact CP
+    # verdict, and the search runs instead and finds nothing (CP holds)
     cols = gen_random_frame(3, 30, Field.REAL, seed=0).vectors.copy()
     cols[:, -1] = cols[:, 0]
     p = ProjectionFamily.from_frame(Frame(cols, Field.REAL))
+    v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
+    assert v.status is Status.CERTIFIED_HOLDS and v.method == "complement-property"
+    monkeypatch.setattr(frames, "_WALK_BUDGET", 8)
     v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
     assert v.status is Status.NO_WITNESS_FOUND and v.method == "spanning-search"
 
@@ -320,13 +330,15 @@ def test_spanning_falsifier_past_cap_certifies_full_spark_frame():
 
 def test_spanning_falsifier_past_cap_finds_planted_point():
     # 29 vectors in the plane x3 = 0 plus one generic vector: every point
-    # orthogonal to the last vector has its images in that plane
+    # orthogonal to the last vector has its images in that plane.  The
+    # first failing bipartition in mask order is {1, 30} against the rest
     rng = np.random.default_rng(0)
     cols = np.hstack([np.vstack([rng.standard_normal((2, 29)), np.zeros((1, 29))]),
                       rng.standard_normal((3, 1))])
     p = ProjectionFamily.from_frame(Frame(cols, Field.REAL))
     v = spanning_falsifier(p, SearchConfig(restarts=16, seed=0))
-    assert v.status is Status.FALSIFIED and v.method == "spanning-search"
+    assert v.status is Status.CERTIFIED_FAILS and v.method == "complement-property"
+    assert v.partition == PartitionWitness((0, 29), tuple(range(1, 29)), 2, 2)
     assert spanning_at(p, v.point).spans is False
     assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
 

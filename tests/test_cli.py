@@ -49,11 +49,14 @@ def test_check_cp_reads_csv(tmp_path):
     assert main(["check-cp", path]) == 0
 
 
-def test_check_cp_capacity_is_error(tmp_path):
-    # a repeated vector keeps the frame from full spark, so --cap applies
+def test_check_cp_capacity_is_error(tmp_path, monkeypatch, capsys):
+    # a walk that needs more screened rows than the budget is refused
     cols = np.hstack([MERCEDES.vectors, MERCEDES.vectors[:, :1]])
     frame = pr.Frame(cols, pr.Field.REAL)
-    assert main(["check-cp", write_frame(tmp_path, frame), "--cap", "2"]) == 2
+    monkeypatch.setattr(pr.frames, "_WALK_BUDGET", 2)
+    assert main(["check-cp", write_frame(tmp_path, frame)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "screened rows" in err and err.count("\n") == 1
 
 
 def test_check_cp_past_cap_certified_through_full_spark(tmp_path, capsys):
@@ -228,8 +231,9 @@ def test_survey_csv(tmp_path):
 
 
 def test_survey_real_past_cap_reports_rates(tmp_path):
-    # m = 25, 26 exceed the bipartition walk's cap; generic frames are full
-    # spark, so every cell still gets an exact rate
+    # m = 25, 26 were past the old cap of 24 on m; generic frames hold CP,
+    # and the bipartition walk certifies them within its row budget, so
+    # every cell gets an exact rate
     out = str(tmp_path / "survey.csv")
     code = main(["survey", "--field", "real", "--n-range", "3", "--m-range", "25:26",
                  "--trials", "2", "--out", out])
@@ -239,6 +243,22 @@ def test_survey_real_past_cap_reports_rates(tmp_path):
     assert [r["m"] for r in rows] == ["25", "26"]
     assert [r["rate"] for r in rows] == ["1.000000", "1.000000"]
     assert all(r["note"] == "" for r in rows)
+
+
+def test_survey_real_over_walk_budget_reports_na(tmp_path, monkeypatch):
+    # a real cell whose bipartition walk exceeds its row budget reads NA,
+    # with the refusal as its note, and the survey still exits 0
+    out = str(tmp_path / "survey.csv")
+    monkeypatch.setattr(pr.frames, "_WALK_BUDGET", 8)
+    code = main(["survey", "--field", "real", "--n-range", "3", "--m-range", "2:4",
+                 "--trials", "2", "--out", out])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["m"] for r in rows] == ["2", "3", "4"]
+    assert [r["rate"] for r in rows] == ["0.000000", "0.000000", "NA"]
+    assert rows[2]["mean_runtime"] == "NA" and "more than 8 screened rows" in rows[2]["note"]
+    assert rows[0]["note"] == rows[1]["note"] == ""
 
 
 def test_survey_complex_hermitian_applies(tmp_path):
@@ -335,9 +355,9 @@ def test_one_process_reports_match_fresh_processes(tmp_path):
     frame = write_frame(tmp_path, pr.Frame(np.array([[1.0, 0.0, 1.0, 2.0],
                                                      [0.0, 1.0, 1.0, -1.0]]), pr.Field.REAL))
     commands = {
-        "cp-flags": ["check-cp", frame, "--tol-rank", "1e-3", "--seed", "4", "--cap", "10"],
+        "cp-flags": ["check-cp", frame, "--tol-rank", "1e-3", "--seed", "4"],
         "cp-defaults": ["check-cp", frame],
-        "spark": ["check-spark", frame, "--tol-rank", "1e-2"],
+        "spark": ["check-spark", frame, "--tol-rank", "1e-2", "--cap", "10"],
         "gen": ["gen", "--kind", "random-proj", "--n", "3", "--ranks", "1,2",
                 "--field", "complex"],
     }

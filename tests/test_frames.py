@@ -194,9 +194,9 @@ def test_screen_never_certifies_a_deficient_side_or_subset(rtol, field):
 
 
 def _shortcut_frames(field):
-    # m = 2n-1..2n+1, where complement_property tries full spark first:
-    # near-hyperplane frames, and every fourth frame with its last vector
-    # a multiple of its first, which is never full spark
+    # m = 2n-1..2n+1, where full spark implies CP: near-hyperplane frames,
+    # and every fourth frame with its last vector a multiple of its first,
+    # which is never full spark
     for n in (2, 3, 4):
         for seed in range(24):
             rng = np.random.default_rng(5000 * n + seed)
@@ -216,8 +216,9 @@ def _spark_above(cols: np.ndarray, tau: float) -> bool:
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
 @pytest.mark.parametrize("rtol", _RTOLS)
 def test_cp_shortcut_matches_brute_oracle(rtol, field):
-    # the full-spark shortcut must leave the walk's answer unchanged, and
-    # full spark at the frame's one cutoff must imply CP under the oracle
+    # the bipartition walk gives the oracle's answer where full spark holds
+    # and where it fails, and full spark at the frame's one cutoff must
+    # imply CP under the oracle
     tol = Tolerances(rank_rtol=rtol)
     spark = walked = 0
     for n, seed, cols in _shortcut_frames(field):
@@ -236,8 +237,8 @@ def test_cp_shortcut_matches_brute_oracle(rtol, field):
 def test_cp_shortcut_cutoff_is_the_largest_side_cutoff():
     # every pair spans at rtol * sigma_max(frame) * n, so the frame is full
     # spark; the whole frame (mask 0), which once failed at
-    # rtol * sigma_max * m, spans at that same cutoff, so the shortcut and
-    # the oracle agree that CP holds
+    # rtol * sigma_max * m, spans at that same cutoff, so full spark, the
+    # walk and the oracle agree that CP holds
     tol = Tolerances(rank_rtol=1e-2)
     c, s = 0.05 * np.cos(0.42), 0.05 * np.sin(0.42)
     cols = np.array([[1.0, c, c], [0.0, s, -s]])
@@ -368,8 +369,7 @@ def test_no_screen_call_takes_more_than_one_chunk(monkeypatch):
     assert full_spark(real_frame(rng.standard_normal((6, 18)))) is None
     assert max(screened) == frames._CHUNK and len(screened) > 7
     screened.clear()
-    # the full-spark shortcut fails on its first block, then the walk runs
-    # past one chunk to the failing bipartition
+    # the bipartition walk runs past one chunk to the failing bipartition
     w = complement_property(real_frame(np.repeat(np.eye(4), [6, 6, 6, 5], axis=1)))
     assert (w.side_Ic, w.rank_I, w.rank_Ic) == (tuple(range(6, 12)), 3, 1)
     assert screened.count(frames._CHUNK) >= 2
@@ -395,10 +395,52 @@ def test_spanning_at_matches_brute_oracle_at_every_rank_tolerance(rtol):
         assert _sigma_eval(stack, normal[None, :], tol)[2][0] == (rank < n), (n, seed)
 
 
-def test_cp_capacity():
+def test_cp_capacity(monkeypatch):
+    # 2^3 masks in one flat step screen 16 rows, past a budget of 3
     cols = np.hstack([np.eye(3), np.ones((3, 1))])
+    monkeypatch.setattr(frames, "_WALK_BUDGET", 3)
     with pytest.raises(CapacityError):
-        complement_property(real_frame(cols), cap=3)
+        complement_property(real_frame(cols))
+
+
+@pytest.mark.parametrize("n, m", [(8, 32), (2, 200), (3, 100)])
+def test_cp_holds_on_generic_frames_past_the_old_cap(n, m):
+    # generic frames with m >= 2n-1 do phase retrieval; the walk certifies
+    # them by pruning at m past 24 vectors, and past the 64 bits of a mask
+    rng = np.random.default_rng((n, m))
+    assert complement_property(real_frame(rng.standard_normal((n, m)))) is None
+
+
+def test_cp_finds_the_planted_hyperplane_past_64_vectors():
+    # 78 vectors in one plane of R^3, then 2 generic ones: the only failing
+    # bipartition is the plane against the rest
+    n, m, k = 3, 80, 2
+    rng = np.random.default_rng((n, m))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    inside = q[:, :n - 1] @ rng.standard_normal((n - 1, m - k))
+    cols = np.concatenate([inside, rng.standard_normal((n, k))], axis=1)
+    w = complement_property(real_frame(cols))
+    assert w == PartitionWitness(tuple(range(m - k)), tuple(range(m - k, m)), n - 1, n - 1)
+
+
+def test_walk_screens_at_most_two_rows_per_node(monkeypatch):
+    # with a screen that certifies nothing the walk prunes nothing: it
+    # visits at most 2^d nodes at depth d <= m-1, two rows each, so it
+    # screens fewer than 2^(m+1) rows, the bound _WALK_BUDGET rests on,
+    # and every leaf's exact recheck still gives the oracle's answer
+    screened = []
+
+    def certify_nothing(table, sel, floor):
+        screened.append(sel.shape[0])
+        return np.zeros(sel.shape[0], dtype=bool)
+
+    monkeypatch.setattr(frames, "_screen_spans", certify_nothing)
+    m = 12
+    monkeypatch.setattr(frames, "_WALK_BUDGET", 2 ** (m + 1))
+    cols = np.random.default_rng(12).standard_normal((3, m))
+    w = complement_property(real_frame(cols))
+    assert w is None and brute_first_cp_failure(cols) is None
+    assert 2 ** (m - 1) <= sum(screened) <= 2 ** (m + 1)
 
 
 @settings(max_examples=60, deadline=None)
