@@ -44,7 +44,9 @@ _STREAM_UNION = 2
 # O(m eps tr(S)) per entry and Cholesky's backward error is
 # O(n^2 eps ||S||), far below ratio * tr(S) >= 1e-8 * lam_max(S).  The
 # screen never says "does not span": every row it leaves undecided is
-# rechecked exactly on the raw columns, so no answer depends on it.
+# rechecked exactly on the raw columns, so no answer depends on it.  The
+# subset walk's Laplace screen (_laplace_undecided) keeps the same ratio
+# as a floor on the sigma_n it certifies, against ||V||_2.
 _SCREEN_RATIO = 1e-8
 
 # most rows per screen call in both exact walks.  The screen holds the
@@ -325,23 +327,30 @@ def _subsets_table(start: int, m: int, t: int) -> np.ndarray:
     return table
 
 
-def _subset_blocks(m: int, n: int):
-    """The n-subsets of range(m) in lexicographic order, as (rows, n)
-    blocks of ascending indices: _FIRST_CHUNK rows, doubling up to _CHUNK.
+def _split_tables(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The head and tail index tables of the n-subsets of range(m): the
+    h-subsets of range(m - t) and the t-subsets of range(h, m), h = n // 2,
+    t = n - h (see _subset_spans)."""
+    h = n // 2
+    return _subsets_table(0, m - (n - h), h), _subsets_table(h, m, n - h)
+
+
+def _subset_spans(heads: np.ndarray, tails: np.ndarray):
+    """The n-subsets of range(m) in lexicographic order, in blocks of
+    _FIRST_CHUNK subsets doubling up to _CHUNK, each named by its heads and
+    the tail rows each of them takes.
 
     A subset is a head, its h = n // 2 smallest elements, and a tail, the
-    other t = n - h.  The heads run over the h-subsets of range(m - t) in
-    order, and the tails of a head are the rows of the t-subset table of
-    range(h, m) that start past its last element: a suffix of that table.
-    A block is then one gather from each of the two cached index tables
-    (_subsets_table), with no per-subset Python.  Neither table has more
-    rows than there are n-subsets: a head plus the last t indices, or the
-    first h indices plus a tail, is an n-subset of its own.
+    other t = n - h (_split_tables).  The heads run over the rows of heads
+    in order, and the tails of a head are the rows of tails that start
+    past its last element: a suffix of that table.  A block (first, a, b)
+    holds heads first, first + 1, ..., head first + i taking tail rows
+    a[i] to b[i] - 1, so a block may end inside one head's suffix.
+    Neither table has more rows than there are n-subsets: a head plus the
+    last t indices, or the first h indices plus a tail, is an n-subset of
+    its own.
     """
-    h = n // 2
-    t = n - h
-    heads, tails = _subsets_table(0, m - t, h), _subsets_table(h, m, t)
-    last = heads[:, -1].astype(np.intp) if h else np.full(1, -1)
+    last = heads[:, -1].astype(np.intp) if heads.shape[1] else np.full(1, -1)
     first_tail = np.searchsorted(tails[:, 0].astype(np.intp), last + 1)
     # position of each head's first subset, and one past its last
     ends = np.cumsum(tails.shape[0] - first_tail)
@@ -350,32 +359,218 @@ def _subset_blocks(m: int, n: int):
     while lo < ends[-1]:
         hi = min(lo + rows, ends[-1])
         first, final = np.searchsorted(ends, [lo, hi - 1], side="right")
-        count = np.minimum(ends[first:final + 1], hi) - np.maximum(begins[first:final + 1], lo)
-        head = np.repeat(np.arange(first, final + 1), count)
-        tail = np.arange(lo, hi) - (begins - first_tail)[head]
-        yield np.concatenate([np.take(heads, head, axis=0), np.take(tails, tail, axis=0)], axis=1)
+        shift = (first_tail - begins)[first:final + 1]
+        yield (first, np.maximum(begins[first:final + 1], lo) + shift,
+               np.minimum(ends[first:final + 1], hi) + shift)
         lo, rows = hi, min(2 * rows, _CHUNK)
 
 
-def _first_deficient_subset(v: np.ndarray, tau: float) -> tuple[int, ...] | None:
-    """Lexicographically first n-subset of the columns of v that fails to
-    span, as 0-based indices, or None when every n-subset spans.
+def _subset_blocks(m: int, n: int):
+    """The n-subsets of range(m) in lexicographic order, as (rows, n)
+    blocks of ascending indices (_subset_spans): one gather from each of
+    the two cached index tables, with no per-subset Python."""
+    heads, tails = _split_tables(m, n)
+    for first, a, b in _subset_spans(heads, tails):
+        count = b - a
+        head = np.repeat(np.arange(first, first + count.size), count)
+        tail = np.arange(head.size) + np.repeat(a - (np.cumsum(count) - count), count)
+        yield np.concatenate([np.take(heads, head, axis=0), np.take(tails, tail, axis=0)], axis=1)
 
-    A subset spans when its sigma_n exceeds the cutoff tau.  The subsets
-    come in lexicographic blocks that numpy builds from two small cached
-    index tables (_subset_blocks): _FIRST_CHUNK rows, doubling up to
-    _CHUNK, so an early deficient subset costs little.  Each block goes
-    through one Cholesky screen call (_screen_spans at floor (2 tau)^2),
-    and every subset it leaves undecided gets the exact batched SVD, in
-    order, so the first deficient subset is the one returned.
-    """
-    n, m = v.shape
+
+def _cholesky_undecided(v: np.ndarray, tau: float):
+    """The Cholesky screen over the lexicographic subset blocks: for each
+    block, the subsets it leaves undecided (_screen_spans at floor
+    (2 tau)^2), in order."""
+    m = v.shape[1]
     table = _outer_table(v)
-    for idx in _subset_blocks(m, n):
+    for idx in _subset_blocks(m, v.shape[0]):
         sel = np.zeros((idx.shape[0], m))
         # a one at each chosen column's flat position
         sel.reshape(-1)[(idx + np.arange(0, sel.size, m)[:, None]).ravel()] = 1.0
-        idx = idx[~_screen_spans(table, sel, (2.0 * tau) ** 2)]
+        yield idx[~_screen_spans(table, sel, (2.0 * tau) ** 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _cofactor_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-row subsets of range(n) in lexicographic order, one per row,
+    and for each of its k rows the position, among the (k-1)-row subsets,
+    of the subset left when that row is struck out: the expansion of
+    every k x k minor along its last column."""
+    subsets = list(itertools.combinations(range(n), k))
+    below = {s: i for i, s in enumerate(itertools.combinations(range(n), k - 1))}
+    rows = np.array(subsets, dtype=np.intp)
+    struck = np.array([[below[s[:j] + s[j + 1:]] for j in range(k)] for s in subsets],
+                      dtype=np.intp)
+    rows.flags.writeable = struck.flags.writeable = False
+    return rows, struck
+
+
+def _minor_table(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Every k x k minor of w on the column sets in the rows of cols, a
+    (T, k) index table of ascending columns: a (C(n, k), T) array, row i
+    over the i-th k-row subset of range(n) in lexicographic order.
+
+    Laplace expansion along the last column, one level per column and no
+    determinant call: an order-k minor is the alternating sum of k
+    products of an entry of its last column with an order-(k-1) minor,
+    added up in one fixed order.
+    """
+    idx = cols.astype(np.intp)
+    minors = np.take(w, idx[:, 0], axis=1)
+    for k in range(2, idx.shape[1] + 1):
+        rows, struck = _cofactor_rows(w.shape[0], k)
+        col = np.take(w, idx[:, k - 1], axis=1)
+        prev = minors
+        # the cofactor sign of the j-th row of a subset is (-1)^(k-1-j)
+        minors = np.take(col, rows[:, -1], axis=0) * np.take(prev, struck[:, -1], axis=0)
+        for j in range(k - 2, -1, -1):
+            term = np.take(col, rows[:, j], axis=0) * np.take(prev, struck[:, j], axis=0)
+            if (k - 1 - j) % 2:
+                minors -= term
+            else:
+                minors += term
+    return minors
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_pairing(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laplace's expansion of an n x n determinant along its first h
+    columns, det A = sum over the h-row subsets R of
+    sign(R) det A[R, :h] det A[R^c, h:], with sign(R) the parity of the
+    permutation that lists R and then R^c, each ascending.
+
+    Returns, for the j-th (n-h)-row subset in lexicographic order, the
+    position of its complement R among the h-row subsets and sign(R):
+    head minors taken in that order and signed pair row for row with the
+    tail minors in their own order.
+    """
+    heads = {s: i for i, s in enumerate(itertools.combinations(range(n), h))}
+    order, sign = [], []
+    for rest in itertools.combinations(range(n), n - h):
+        perm = tuple(i for i in range(n) if i not in rest) + rest
+        order.append(heads[perm[:h]])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        sign.append(-1.0 if inversions % 2 else 1.0)
+    order, sign = np.array(order, dtype=np.intp), np.array(sign)
+    order.flags.writeable = sign.flags.writeable = False
+    return order, sign
+
+
+class _Minors:
+    """_minor_table of w on the rows of an index table, built as a walk
+    reads them.
+
+    The rows below a mark are built.  A read past the mark builds on to
+    the furthest of the read's end, twice the mark and _FIRST_CHUNK rows,
+    so a walk that stops early builds few rows, and one that reads the
+    whole table builds it in a logarithmic number of calls.  The minors
+    of a head table are paired: reordered and signed by _laplace_pairing.
+    """
+
+    def __init__(self, w: np.ndarray, table: np.ndarray, paired: bool):
+        self.w, self.table, self.paired = w, table, paired
+        size = math.comb(w.shape[0], table.shape[1])
+        self.minors = np.empty((size, table.shape[0]), dtype=w.dtype)
+        self.mark = 0
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """The minors of table rows lo to hi - 1, one column each."""
+        if hi > self.mark:
+            stop = min(max(hi, 2 * self.mark, _FIRST_CHUNK), self.table.shape[0])
+            part = _minor_table(self.w, self.table[self.mark:stop])
+            if self.paired:
+                order, sign = _laplace_pairing(self.w.shape[0], self.table.shape[1])
+                part = np.take(part, order, axis=0) * sign[:, None]
+            self.minors[:, self.mark:stop] = part
+            self.mark = stop
+        return self.minors[:, lo:hi]
+
+
+def _laplace_undecided(v: np.ndarray, tau: float, smax: float):
+    """The Laplace determinant screen over the lexicographic subset blocks:
+    for each block, the subsets it leaves undecided, in order.
+
+    v is scaled by 2^-e, exactly, to w with rho = ||w||_2 = smax / 2^e in
+    [1/2, 1).  The h x h minors of each head and the t x t minors of each
+    tail come from _minor_table (_Minors builds them as the blocks first
+    read them), and Laplace's expansion along the head columns
+    (_laplace_pairing) gives det w_S of every subset of a block in one
+    matrix product: its heads' signed minors times the minors of the tails
+    they take, masked to those tails.  Since sigma_1(w_S) <= rho,
+    sigma_n(w_S) >= |det w_S| / rho^(n-1), so a subset is certified when
+    its computed |det w_S| exceeds rho^(n-1) max(2 tau / 2^e, ratio) plus
+    the rounding bound below.  That puts sigma_n(v_S) above 2 tau, twice
+    the cutoff (which also absorbs smax being numpy's ||v||_2, good to a
+    few units in the last place), and above ratio ||v||_2
+    (_SCREEN_RATIO), far above the rounding of the exact SVD test, so
+    that test would pass every certified subset too.
+    """
+    n, m = v.shape
+    h = n // 2
+    heads, tails = _split_tables(m, n)
+    e = int(np.frexp(smax)[1])
+    w = v * np.ldexp(1.0, -e)
+    rho = np.ldexp(smax, -e)
+    head_minors = _Minors(w, heads, paired=True)
+    tail_minors = _Minors(w, tails, paired=False)
+    # Rounding: each term of det w_S's permutation expansion takes at most
+    # h(h+1)/2 - 1 roundings in its head minor, t(t+1)/2 - 1 in its tail
+    # minor and C(n, h) in the product and its sum, and a complex product
+    # (within sqrt(2) gamma_2 < gamma_3) counts as three, n - 1 of them per
+    # term; so the error is at most gamma_steps perm|w_S| <= gamma_steps
+    # prod_j ||w_j||_1, doubled to cover the bound's own rounding.
+    # Underflow adds at most a few smallest-subnormal units per operation,
+    # below the ratio floor by hundreds of orders of magnitude.
+    steps = h * (h + 1) // 2 + (n - h) * (n - h + 1) // 2 + math.comb(n, h)
+    if np.iscomplexobj(w):
+        steps += 2 * (n - 1)
+    unit = np.finfo(np.float64).eps / 2
+    slack = 2.0 * steps * unit / (1.0 - steps * unit) * np.abs(w).sum(axis=0).max() ** n
+    cut = rho ** (n - 1) * max(np.ldexp(2.0 * tau, -e), _SCREEN_RATIO) + slack
+    for first, a, b in _subset_spans(heads, tails):
+        lo, hi = int(a.min()), int(b.max())
+        dets = head_minors.read(first, first + a.size).T @ tail_minors.read(lo, hi)
+        # the block's subsets in row-major order, which is lexicographic
+        undecided = np.abs(dets) <= cut
+        # every head takes its tails on to the table's end, but the last
+        # head of a block may stop short and the first start late
+        undecided &= np.arange(lo, hi) >= a[:, None]
+        undecided[-1, b[-1] - lo:] = False
+        head, tail = np.divmod(np.flatnonzero(undecided), hi - lo)
+        yield np.concatenate([np.take(heads, head + first, axis=0),
+                              np.take(tails, tail + lo, axis=0)], axis=1)
+
+
+def _first_deficient_subset(v: np.ndarray, tau: float, smax: float) -> tuple[int, ...] | None:
+    """Lexicographically first n-subset of the columns of v that fails to
+    span, as 0-based indices, or None when every n-subset spans.
+
+    A subset spans when its sigma_n exceeds the cutoff tau; smax is
+    ||v||_2, by which the Laplace screen scales v.  The subsets come in
+    lexicographic blocks that numpy builds from two small cached index
+    tables of heads and tails (_subset_spans): _FIRST_CHUNK subsets,
+    doubling up to _CHUNK, so an early deficient subset costs little.  A
+    screen certifies most subsets of a block, and every subset it leaves
+    undecided gets the exact batched SVD, in order, so the first deficient
+    subset is the one returned whichever screen ran.
+
+    The Laplace screen (_laplace_undecided) costs one product of
+    C(n, n // 2) terms per subset, over two tables of minors, C(n, n // 2)
+    per head and per tail; it runs when those tables hold no more entries
+    than the C(m, n) subsets they serve, which is from about m = 3n on.
+    Smaller frames, whose tables would be larger (C(30, 15) minors for the
+    one subset of a 30 x 30 frame), take the Cholesky screen
+    (_cholesky_undecided): an n(n+1)/2-column membership product and an
+    n-step elimination per subset.
+    """
+    n, m = v.shape
+    h = n // 2
+    entries = math.comb(n, h) * (math.comb(m - n + h, h) + math.comb(m - h, n - h))
+    if entries <= math.comb(m, n):
+        blocks = _laplace_undecided(v, tau, smax)
+    else:
+        blocks = _cholesky_undecided(v, tau)
+    for idx in blocks:
         if not idx.size:
             continue
         s = np.linalg.svd(v[:, idx].transpose(1, 0, 2), compute_uv=False)
@@ -493,7 +688,11 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     Subsets are judged at complement_property's one cutoff tau: the walk
     (_first_deficient_subset) screens each lexicographic block of subsets
     and gives every subset the screen leaves undecided the exact batched
-    SVD test sigma_n > tau, in order.
+    SVD test sigma_n > tau, in order.  The screen is a Laplace expansion
+    of each subset's determinant (one product of C(n, n // 2) terms per
+    subset) where its minor tables fit within the C(m, n) subsets, and a
+    Cholesky elimination otherwise; either way the answer is the exact
+    test's.
     """
     n, m = f.dim, f.size
     if m < n:
@@ -501,7 +700,8 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     total = math.comb(m, n)
     if total > cap:
         raise CapacityError(f"C({m}, {n}) = {total} subsets exceeds cap {cap}")
-    return _first_deficient_subset(f.vectors, rank_cutoff(np.linalg.norm(f.vectors, 2), n, tol))
+    smax = np.linalg.norm(f.vectors, 2)
+    return _first_deficient_subset(f.vectors, rank_cutoff(smax, n, tol), smax)
 
 
 def image_matrix(p: ProjectionFamily, x: np.ndarray) -> np.ndarray:

@@ -262,7 +262,7 @@ def test_subset_walk_at_fixed_cutoff_matches_brute_oracle(field):
                 if s[-1] <= tau:
                     expect = combo
                     break
-            assert _first_deficient_subset(cols, tau) == expect, (n, seed, tau)
+            assert _first_deficient_subset(cols, tau, smax) == expect, (n, seed, tau)
 
 
 @pytest.mark.parametrize("chunks", [None, (4, 2)], ids=["default-blocks", "4-row-blocks"])
@@ -317,15 +317,83 @@ def _bound_index_tables(monkeypatch):
     return limit
 
 
+def _bound_minor_tables(monkeypatch):
+    # fail before the minors that one walk's builder has made add up to
+    # more entries than limit[0]; a test sets it to the C(m, n) subsets the
+    # walk serves, and zeroes the count, limit[1], before each walk
+    build, limit = frames._minor_table, [0, 0]
+
+    def bounded(w, cols):
+        limit[1] += cols.shape[0] * math.comb(w.shape[0], cols.shape[1])
+        assert limit[1] <= limit[0], (w.shape, cols.shape, limit)
+        return build(w, cols)
+
+    monkeypatch.setattr(frames, "_minor_table", bounded)
+    return limit
+
+
+def _takes_laplace(n, m):
+    # the rule of _first_deficient_subset: the two minor tables, C(n, h)
+    # minors per head and per tail, hold no more than the C(m, n) subsets
+    h = n // 2
+    return math.comb(n, h) * (math.comb(m - n + h, h) + math.comb(m - h, n - h)) \
+        <= math.comb(m, n)
+
+
 @pytest.mark.parametrize("n, m", [(30, 30), (30, 31), (29, 31), (24, 24), (26, 26)])
 def test_near_square_subset_walk_builds_small_tables(n, m, monkeypatch):
     # m close to n leaves few n-subsets, and the index tables stay as few;
-    # summing columns 0 and 1 into the last makes the first n - 1 columns
-    # and the last one the first deficient subset
+    # the minor tables would hold C(n, n // 2) minors per head, C(30, 15)
+    # = 155 M for the one subset of a 30 x 30 frame, so these frames take
+    # the Cholesky screen and build none.  Summing columns 0 and 1 into
+    # the last makes the first n - 1 columns and the last one the first
+    # deficient subset
     _bound_index_tables(monkeypatch)[0] = math.comb(m, n)
+    _bound_minor_tables(monkeypatch)[:] = [math.comb(m, n), 0]
     cols = np.random.default_rng((n, m)).standard_normal((n, m))
     assert full_spark(real_frame(cols)) is None
     cols[:, m - 1] = cols[:, 0] + cols[:, 1]
+    assert full_spark(real_frame(cols)) == tuple(range(n - 1)) + (m - 1,)
+
+
+def test_minor_tables_never_outgrow_the_subsets(monkeypatch):
+    # a whole walk, which reads every row of both minor tables, over every
+    # 2 <= n <= m <= 40 with C(m, n) <= 5000 and the near-square frames
+    # past it: the Laplace screen runs only where its tables fit within
+    # the subsets, and it runs on both real and complex frames
+    limit = _bound_minor_tables(monkeypatch)
+    shapes = [(n, m) for m in range(2, 41) for n in range(2, m + 1) if math.comb(m, n) <= 5000]
+    shapes += [(24, 24), (26, 26), (28, 30), (29, 31), (30, 30), (30, 31)]
+    laplace = 0
+    for n, m in shapes:
+        rng = np.random.default_rng((n, m))
+        field = Field.COMPLEX if (n + m) % 2 else Field.REAL
+        limit[:] = [math.comb(m, n), 0]
+        full_spark(Frame(_gaussian(rng, (n, m), field), field))
+        assert (limit[1] > 0) == _takes_laplace(n, m), (n, m)
+        laplace += _takes_laplace(n, m)
+    assert 50 < laplace < len(shapes) - 50
+
+
+@pytest.mark.parametrize("n, m", [(2, 1500), (3, 300)])
+def test_subset_walk_cost_does_not_grow_with_m(n, m, monkeypatch):
+    # 1.1 M and 4.5 M subsets: one product of C(n, n // 2) terms each, not
+    # an m-wide membership product; a column made a multiple of the first
+    # makes the first n - 1 columns and that one the first deficient
+    # subset, an early one, which builds the minors of few tails (the
+    # whole 3 x 300 tables hold 134 k).  Lines at distinct angles keep
+    # every pair of R^2 apart
+    if n == 2:
+        angles = np.linspace(0.0, np.pi, m, endpoint=False)
+        cols = np.vstack([np.cos(angles), np.sin(angles)])
+    else:
+        cols = np.random.default_rng(m).standard_normal((n, m))
+    assert _takes_laplace(n, m)
+    limit = _bound_minor_tables(monkeypatch)
+    limit[:] = [math.comb(m, n), 0]
+    assert full_spark(real_frame(cols)) is None
+    cols[:, m - 1] = -3.0 * cols[:, 0]
+    limit[:] = [2 * frames._CHUNK * n, 0]
     assert full_spark(real_frame(cols)) == tuple(range(n - 1)) + (m - 1,)
 
 
@@ -349,26 +417,138 @@ def test_subset_walk_in_small_blocks_matches_brute_oracle(field, monkeypatch):
     for n, seed, cols in frames_:
         smax = np.linalg.norm(cols, 2)
         for rtol in _RTOLS:
-            assert _first_deficient_subset(cols, rtol * smax * n) == \
+            assert _first_deficient_subset(cols, rtol * smax * n, smax) == \
                 brute_full_spark(cols, rtol), (n, seed, rtol)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+def test_laplace_minors_and_signs_match_numpy_det(field):
+    # every k x k minor of _minor_table, k = 1..n, over every k-row subset
+    # in lexicographic order, and Laplace's expansion along the first h
+    # columns for every split 1 <= h < n, against numpy's det, n = 1..8
+    rng = np.random.default_rng(19)
+    for n in range(1, 9):
+        w = _gaussian(rng, (n, n + 3), field)
+        for k in range(1, n + 1):
+            cols = np.array(list(itertools.combinations(range(n + 3), k))[::7], dtype=np.uint8)
+            minors = frames._minor_table(w, cols)
+            assert minors.shape == (math.comb(n, k), cols.shape[0])
+            for i, rows in enumerate(itertools.combinations(range(n), k)):
+                expect = np.linalg.det(w[list(rows)][:, cols].transpose(1, 0, 2))
+                np.testing.assert_allclose(minors[i], expect, rtol=1e-12, atol=1e-13)
+        a = _gaussian(rng, (n, n), field)
+        for h in range(1, n):
+            order, sign = frames._laplace_pairing(n, h)
+            head = frames._minor_table(a, np.arange(h)[None, :])[order, 0] * sign
+            tail = frames._minor_table(a, np.arange(h, n)[None, :])[:, 0]
+            np.testing.assert_allclose(head @ tail, np.linalg.det(a), rtol=1e-12)
+
+
+def _laplace_shapes():
+    # frames near a hyperplane on both sides of the Laplace rule
+    for n, m in [(2, 6), (3, 8), (4, 9), (2, 9), (3, 11), (4, 13)]:
+        for seed in range(4):
+            yield n, m, seed
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_full_spark_matches_brute_oracle_on_both_sides_of_the_laplace_rule(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    sides = set()
+    for field in (Field.REAL, Field.COMPLEX):
+        for n, m, seed in _laplace_shapes():
+            rng = np.random.default_rng((n, m, seed))
+            cols, _ = _near_hyperplane_frame(rng, n, field, m=m)
+            sides.add(_takes_laplace(n, m))
+            for order in (np.arange(m), np.arange(m)[::-1], rng.permutation(m)):
+                got = full_spark(Frame(cols[:, order], field), tol)
+                assert got == brute_full_spark(cols[:, order], rtol), (n, m, seed, order)
+    assert sides == {False, True}
+
+
+def _planted_subset(rng, n, m, field, subset, ratio, rtol):
+    # a generic frame whose columns in subset have sigma_n at ratio times
+    # the frame's cutoff rtol * sigma_max * n (two rounds, as the cutoff
+    # moves with sigma_max)
+    cols = _gaussian(rng, (n, m), field)
+    for _ in range(2):
+        u, s, vh = np.linalg.svd(cols[:, subset])
+        s[-1] = ratio * rtol * np.linalg.norm(cols, 2) * n
+        cols[:, subset] = (u * s) @ vh
+    return cols
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 3.2])
+def test_full_spark_finds_subsets_planted_near_the_cutoff(ratio, field):
+    # one n-subset at 0.5, 1, 2 and 3.2 times the cutoff (3.2 is the bench's
+    # seed-5 spark-real case), on both sides of the Laplace rule, at the
+    # default rank_rtol and a loose one, where other subsets of a generic
+    # frame may fall below the cutoff too
+    for rtol in (1e-10, 1e-3):
+        for n, m in [(3, 8), (4, 9), (3, 12), (4, 14), (5, 16)]:
+            rng = np.random.default_rng((n, m, int(10 * ratio)))
+            subset = sorted(rng.choice(m, size=n, replace=False).tolist())
+            cols = _planted_subset(rng, n, m, field, subset, ratio, rtol)
+            got = full_spark(Frame(cols, field), Tolerances(rank_rtol=rtol))
+            assert got == brute_full_spark(cols, rtol), (n, m, rtol)
+            if rtol == 1e-10 and ratio != 1.0:
+                assert got == (tuple(subset) if ratio < 1.0 else None), (n, m)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
+def test_subset_walk_at_extreme_column_scales(field):
+    # frames scaled to 1e150 and 1e-150 with columns a thousandfold apart,
+    # and columns spread from 1e-150 to 1e150: the Laplace screen works on
+    # the frame scaled to unit norm, so nothing overflows (a warning fails
+    # the test), and both screens give the oracle's answer
+    rng = np.random.default_rng(150)
+    for n, m in [(3, 8), (4, 9), (2, 9), (3, 11), (4, 13), (5, 16)]:
+        for scale in (1e150, 1e-150, None):
+            cols = _gaussian(rng, (n, m), field)
+            cols *= 10.0 ** rng.uniform(-150, 150, m) if scale is None else \
+                scale * 10.0 ** rng.uniform(-1.5, 1.5, m)
+            if rng.integers(2):
+                cols[:, -1] = 0.5 * cols[:, 0]
+            smax = np.linalg.norm(cols, 2)
+            for rtol in (1e-12, 1e-10, 1e-2):
+                assert _first_deficient_subset(cols, rtol * smax * n, smax) == \
+                    brute_full_spark(cols, rtol), (n, m, scale, rtol)
 
 
 def test_no_screen_call_takes_more_than_one_chunk(monkeypatch):
     # both walks hand the screen at most _CHUNK rows per call: the subset
     # walk's blocks stop doubling there, and the bipartition walk splits
-    # the two sides of a leaf block (up to 2 * _CHUNK rows) into chunks
-    screened = []
+    # the two sides of a leaf block (up to 2 * _CHUNK rows) into chunks.
+    # A Laplace block decides at most _CHUNK subsets too
+    screened, spans = [], []
+    subset_spans = frames._subset_spans
 
     def counting_screen(table, sel, floor):
         assert sel.shape[0] <= frames._CHUNK
         screened.append(sel.shape[0])
         return _screen_spans(table, sel, floor)
 
+    def counting_spans(heads, tails):
+        for first, a, b in subset_spans(heads, tails):
+            assert (b - a).sum() <= frames._CHUNK
+            spans.append(int((b - a).sum()))
+            yield first, a, b
+
     monkeypatch.setattr(frames, "_screen_spans", counting_screen)
+    monkeypatch.setattr(frames, "_subset_spans", counting_spans)
     rng = np.random.default_rng(16)
-    assert full_spark(real_frame(rng.standard_normal((6, 18)))) is None
+    # C(17, 8) = 24310 subsets on the Cholesky side of the rule
+    assert not _takes_laplace(8, 17)
+    assert full_spark(real_frame(rng.standard_normal((8, 17)))) is None
     assert max(screened) == frames._CHUNK and len(screened) > 7
+    assert screened == spans
     screened.clear()
+    spans.clear()
+    # and C(18, 6) = 18564 on the Laplace side
+    assert _takes_laplace(6, 18)
+    assert full_spark(real_frame(rng.standard_normal((6, 18)))) is None
+    assert not screened and max(spans) == frames._CHUNK and len(spans) > 7
     # the bipartition walk runs past one chunk to the failing bipartition
     w = complement_property(real_frame(np.repeat(np.eye(4), [6, 6, 6, 5], axis=1)))
     assert (w.side_Ic, w.rank_I, w.rank_Ic) == (tuple(range(6, 12)), 3, 1)
