@@ -242,8 +242,9 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _sigma_eval(ops, X, tol: Tolerances):
-    """The value |w* A(x)|, the unit w attaining it, and whether the images
-    fail to span, batched over the stacked images A(x) = [A_1 x ... A_k x].
+    """The value |w* A(x)|, the unit w attaining it, whether the images fail
+    to span, and sigma_max, batched over the stacked images
+    A(x) = [A_1 x ... A_k x].
 
     ops is a (k, d, d) operator stack and X holds one unit point per row.
     w is the last column of the full left singular basis of A(x), so the
@@ -258,7 +259,7 @@ def _sigma_eval(ops, X, tol: Tolerances):
     u, s, _ = np.linalg.svd(a, full_matrices=k < d)
     short = _image_rank_from(s, (d, k), tol) < d
     value = s[:, -1] if k >= d else np.zeros(len(X))
-    return value, u[:, :, -1], short
+    return value, u[:, :, -1], short, s[:, 0]
 
 
 def _tangent_jacobian(ops, X, W):
@@ -278,42 +279,96 @@ def _tangent_jacobian(ops, X, W):
     return res, jac
 
 
+# shift of the Gram matrix relative to its trace, about 45 ulps
+_GRAM_SHIFT = 1e-14
+# a value within this many ulps of sigma_max is rounding noise of the SVD
+_FLOOR_ULPS = 8
+
+
+def _tangent_step(res, jac, X, W, lifted: bool):
+    """The minimum-norm step s solving J s = -r, batched, by one Gram solve.
+
+    J maps (x, 0) and (0, conj w) to zero (see _tangent_jacobian).  On a
+    lifted stack (see _lifted_stack) the system also keeps the phases of
+    x + w and x - w, so J maps (Jx, Jw) and (Jw, Jx) to zero as well.
+    With q such known null directions the rank of J is at most c - q for
+    c = 2d columns.  With k <= c - q rows, JJ* is the side of full rank
+    and s = J* (JJ* + mu I)^-1 (-r).  Otherwise s = (J*J + a B B* +
+    mu I)^-1 J* (-r), where the columns of B are those null directions
+    and a = tr G / c, so a B B* fills the directions J* (-r) never has.
+    Either way mu = _GRAM_SHIFT tr G is a fixed shift that keeps
+    repeated or otherwise dependent rows from making the system
+    singular; both formulas give the pseudo-inverse solution -J^+ r up
+    to that shift.
+    """
+    k, c = jac.shape[1:]
+    jh = jac.conj().swapaxes(1, 2)
+    trace = np.einsum("rij,rij->r", jac.conj(), jac).real
+    # an all-zero Jacobian asks for no step, whatever its residual
+    trace = np.where(trace > 0.0, trace, 1.0)
+    rows = k <= c - (4 if lifted else 2)
+    # right-hand sides as (..., n, 1): numpy 1.x and 2.x read a stacked
+    # (..., n) one differently
+    if rows:
+        gram, rhs = jac @ jh, -res[..., None]
+    else:
+        null = [(X, np.zeros_like(X)), (np.zeros_like(X), W.conj())]
+        if lifted:
+            n = X.shape[1] // 2
+            jx, jw = (np.concatenate([-a[:, n:], a[:, :n]], axis=1) for a in (X, W))
+            null += [(jx, jw), (jw, jx)]
+        b = np.stack([np.concatenate(v, axis=1) for v in null], axis=2)
+        gram = jh @ jac + (trace / c)[:, None, None] * (b @ b.conj().swapaxes(1, 2))
+        rhs = jh @ -res[..., None]
+    gram += (_GRAM_SHIFT * trace)[:, None, None] * np.eye(gram.shape[1])
+    sol = np.linalg.solve(gram, rhs)
+    return (jh @ sol if rows else sol)[..., 0]
+
+
 _HALVINGS = 10
 
 
-def _gauss_newton(ops, X, cfg: SearchConfig):
+def _gauss_newton(ops, X, cfg: SearchConfig, lifted: bool = False):
     """Batched Gauss-Newton on w* A_j x = 0 (j = 1..k) for unit x and w.
 
     Every row of X starts with the w of _sigma_eval.  A round takes, for
     every live row, the minimum-norm step of the tangent system (see
-    _tangent_jacobian) and keeps the longest of the step and its first
-    _HALVINGS halvings whose residual is below 1 - t/2 times the row's
-    value at step fraction t; x and w are renormalized, and one
-    _sigma_eval reads the new value, w and flag.  A row with no
-    qualifying fraction stops and leaves the batch; cfg.max_iters bounds
-    the rounds.  Yields (rows, values, ws), and a row only while the rank
-    rule flags it: the first round it is flagged, since it may already
-    answer the search, again when it stops, and after the last round, if
-    it is still flagged then.  Its w comes from the same SVD that flagged
-    it, so it is orthogonal to every A_j x up to the rank cutoff.  Rows
-    that stop unflagged are never offered.  A caller that takes its
-    answer from an early offer never resumes the generator.
+    _tangent_jacobian), solved through the smaller Gram matrix with a
+    fixed shift (see _tangent_step), and keeps the longest of the step
+    and its first _HALVINGS halvings whose residual is below 1 - t/2
+    times the row's value at step fraction t; x and w are renormalized,
+    and one _sigma_eval reads the new value, w, flag and sigma_max.  A
+    row stops and leaves the batch when no fraction qualifies, or when
+    its value is at the rounding floor of that SVD, _FLOOR_ULPS ulps of
+    its sigma_max, where no step is left to take; cfg.max_iters bounds
+    the rounds.  Yields (rows, values, ws), and a row only while the
+    rank rule flags it: the first round it is flagged, since it may
+    already answer the search, again when it stops, and after the last
+    round, if it is still flagged then.  Its w comes from the same SVD
+    that flagged it, so it is orthogonal to every A_j x up to the rank
+    cutoff.  Rows that stop unflagged are never offered.  A caller that
+    takes its answer from an early offer never resumes the generator.
+    lifted says that ops is a _lifted_stack, whose Jacobian has two more
+    known null directions.
     """
     X = X.copy()
     d = X.shape[1]
     frac = 0.5 ** np.arange(_HALVINGS + 1)
-    val, W, short = _sigma_eval(ops, X, cfg.tol)
+    floor = _FLOOR_ULPS * np.finfo(float).eps
+    val, W, short, top = _sigma_eval(ops, X, cfg.tol)
     # row masks rather than index sets: np.union1d imports numpy.ma (~2 MB)
     flagged, offer = short.copy(), short.copy()
-    live = np.arange(len(X))
+    live = np.flatnonzero(val > floor * top)
     for _ in range(cfg.max_iters):
         if offer.any():
             yield X[offer], val[offer], W[offer]
-        res, jac = _tangent_jacobian(ops, X[live], W[live])
-        step = -np.einsum("rij,rj->ri", np.linalg.pinv(jac), res)
+        if live.size == 0:
+            return
+        xl, wl = X[live], W[live]
+        step = _tangent_step(*_tangent_jacobian(ops, xl, wl), xl, wl, lifted)
         # every step fraction at once, one candidate (x, w) per row and fraction
-        xs = _unit_rows(X[live, None] + frac[:, None] * step[:, None, :d])
-        ws = _unit_rows(W[live, None] + frac[:, None] * step[:, None, d:].conj())
+        xs = _unit_rows(xl[:, None] + frac[:, None] * step[:, None, :d])
+        ws = _unit_rows(wl[:, None] + frac[:, None] * step[:, None, d:].conj())
         trial = np.linalg.norm(np.einsum("kij,rtj,rti->rtk", ops, xs, ws.conj()), axis=-1)
         ok = trial < (1.0 - frac / 2.0) * val[live, None]
         moved = ok.any(axis=1)
@@ -323,9 +378,12 @@ def _gauss_newton(ops, X, cfg: SearchConfig):
         live = live[moved]
         if live.size == 0:
             break
-        val[live], W[live], short[live] = _sigma_eval(ops, X[live], cfg.tol)
+        val[live], W[live], short[live], top = _sigma_eval(ops, X[live], cfg.tol)
         offer |= short & ~flagged
         flagged |= short
+        stop = val[live] <= floor * top
+        offer[live[stop]] = short[live[stop]]
+        live = live[~stop]
     offer[live] = short[live]
     if offer.any():
         yield X[offer], val[offer], W[offer]
@@ -364,7 +422,7 @@ def _search_verdict(p: ProjectionFamily, ops: np.ndarray, cfg: SearchConfig,
     lifted = d != n
     rng = spawn_rng(cfg.seed, _STREAM_SPAN_SEARCH)
     starts = _unit_rows(gaussian_matrix(rng, r, d, Field.infer(ops)).reshape(r, d))
-    for X, val, W in _gauss_newton(ops, starts, cfg):
+    for X, val, W in _gauss_newton(ops, starts, cfg, lifted):
         order = np.argsort(val, kind="stable")
         for x, w in zip(X[order], W[order]):
             if lifted:

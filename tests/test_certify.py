@@ -401,6 +401,148 @@ def test_polish_halves_an_overshooting_gauss_newton_step():
     assert reached >= 5
 
 
+@pytest.mark.parametrize("seed, start", [(3, 3), (3, 14), (5, 30)])
+def test_gauss_newton_stops_at_the_rounding_floor(monkeypatch, seed, start):
+    # rows that reach sigma_min near 1e-16 sigma_max and, without a stop
+    # there, kept accepting noise-level steps for 481 more rounds (seed 3,
+    # start 3, at the floor from round 19), 6 (seed 3, start 14, from
+    # round 2) and 451 (seed 5, start 30, from round 49)
+    tol = Tolerances(rank_rtol=1e-2)
+    ops = _two_close_planes_and_one_more(seed)
+    x0 = np.random.default_rng(seed).standard_normal((40, 3))[start]
+    inner, evals = certify._sigma_eval, []
+
+    def recording(ops, X, tol):
+        out = inner(ops, X, tol)
+        evals.append((out[0][0], out[3][0]))
+        return out
+
+    monkeypatch.setattr(certify, "_sigma_eval", recording)
+    offers = list(certify._gauss_newton(ops, (x0 / np.linalg.norm(x0))[None, :],
+                                        SearchConfig(tol=tol)))
+    at_floor = [i for i, (value, top) in enumerate(evals) if value <= 1e-15 * top]
+    assert at_floor, "the row never reached the rounding floor"
+    # the evaluation that finds the row at the floor is its last
+    assert at_floor[0] == len(evals) - 1
+    # the loose rule flags the row, so it is offered where it stopped
+    assert offers[-1][1][0] == evals[-1][0]
+
+
+def _tangent_system(rng, ops, batch: int, w=None):
+    """Residuals and tangent Jacobians of ops at random unit x, and w
+    random too unless given, with those x and w."""
+    field = Field.infer(ops)
+    X = random_unit_columns(rng, ops.shape[1], batch, field).T
+    W = random_unit_columns(rng, ops.shape[1], batch, field).T if w is None else w(ops, X)
+    return (*certify._tangent_jacobian(ops, X, W), X, W)
+
+
+def _lifted_frame_stack(rng, n: int, m: int):
+    cols = random_unit_columns(rng, n, m, Field.COMPLEX)
+    return _lifted_stack(ProjectionFamily.from_frame(Frame(cols, Field.COMPLEX)))
+
+
+def _pinv_step(res, jac):
+    return -np.einsum("rij,rj->ri", np.linalg.pinv(jac), res)
+
+
+def _residual(res, jac, step):
+    return np.linalg.norm(np.einsum("rij,rj->ri", jac, step) + res, axis=1)
+
+
+@pytest.mark.parametrize("batch", [1, 50])
+# k operators on 2d = 8 tangent columns: rank at most 6 on a plain stack,
+# so JJ* for k <= 6 and J*J past it; at most 4 on the lifted stack of
+# k - 1 complex vectors in C^2, so JJ* for k <= 4
+@pytest.mark.parametrize("kind, k", [("real", 3), ("real", 6), ("real", 7), ("real", 12),
+                                     ("complex", 3), ("complex", 6), ("complex", 7),
+                                     ("complex", 12), ("lifted", 3), ("lifted", 4),
+                                     ("lifted", 5), ("lifted", 9)])
+def test_tangent_step_is_the_pseudo_inverse_step(kind, k, batch):
+    rng = np.random.default_rng(100 * k + batch)
+    if kind == "lifted":
+        ops, rank = _lifted_frame_stack(rng, 2, k - 1), min(k, 4)
+    else:
+        field = Field.REAL if kind == "real" else Field.COMPLEX
+        ops, rank = random_projection_stack(rng, 4, [1] * k, field), min(k, 6)
+    # draw four times the batch and keep the first rows well conditioned on their rank
+    system = _tangent_system(rng, ops, 4 * batch)
+    s = np.linalg.svd(system[1], compute_uv=False)
+    keep = np.flatnonzero(s[:, rank - 1] > 1e-2 * s[:, 0])[:batch]
+    assert keep.size == batch
+    res, jac, X, W = (a[keep] for a in system)
+    step = certify._tangent_step(res, jac, X, W, kind == "lifted")
+    ref = _pinv_step(res, jac)
+    err = np.linalg.norm(step - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert err.max() <= 1e-8
+
+
+def _with_a_repeat(ops):
+    return np.concatenate([ops[:1], ops])
+
+
+@pytest.mark.parametrize("case", ["repeated-JJ*", "repeated-J*J", "zero-JJ*", "zero-J*J",
+                                  "lifted-n3-m8", "lifted-n4-m12"])
+def test_tangent_step_stays_finite_on_rank_deficient_jacobians(case):
+    # two equal rows, an all-zero batch, and lifted stacks with k = 2d - 3
+    # rows, whose Jacobians have rank k - 1: a plain stack of that shape
+    # would be full rank, so the rule must count the two phase directions
+    rng = np.random.default_rng(7)
+    lifted = case.startswith("lifted")
+    if lifted:
+        n, m = (3, 8) if case == "lifted-n3-m8" else (4, 12)
+        ops = _lifted_frame_stack(rng, n, m)
+        res, jac, X, W = _tangent_system(
+            rng, ops, 20, w=lambda ops, X: certify._sigma_eval(ops, X, Tolerances())[1])
+        k, c = jac.shape[1:]
+        assert k == c - 3
+        s = np.linalg.svd(jac, compute_uv=False)
+        assert np.all(s[:, -1] < 1e-12 * s[:, 0])
+    else:
+        k = 5 if case.endswith("JJ*") else 9
+        ops = _with_a_repeat(random_projection_stack(rng, 4, [1] * (k - 1), Field.REAL))
+        res, jac, X, W = _tangent_system(rng, ops, 20)
+        if case.startswith("zero"):
+            jac = np.zeros_like(jac)
+    step = certify._tangent_step(res, jac, X, W, lifted)
+    assert np.all(np.isfinite(step))
+    slack = _residual(res, jac, step) - _residual(res, jac, _pinv_step(res, jac))
+    assert np.all(slack <= 1e-6 * np.linalg.norm(res, axis=1))
+
+
+@pytest.mark.parametrize("n, m, field", [(3, 3, Field.REAL), (4, 5, Field.REAL),
+                                         (2, 3, Field.REAL), (3, 5, Field.COMPLEX),
+                                         (3, 8, Field.COMPLEX)])
+def test_searches_survive_a_repeated_frame_vector(n, m, field):
+    # the copy gives the solver's Jacobian two equal rows, on either side
+    # of the rank rule; real frames on either side of m + 1 = 2n - 1 are
+    # also decided exactly, and both searches must agree with that
+    f = gen_random_frame(n, m, field, seed=5)
+    f = Frame(np.concatenate([f.vectors, f.vectors[:, :1]], axis=1), field)
+    p = ProjectionFamily.from_frame(f)
+    cfg = SearchConfig(restarts=16, seed=1)
+    verdicts = [pr_falsifier(p, cfg), spanning_falsifier(p, cfg)]
+    if field is Field.REAL:
+        exact = decide_real_rank1(f).status
+        assert verdicts[1].status is exact
+        fails = exact is Status.CERTIFIED_FAILS
+        assert verdicts[0].status is (Status.FALSIFIED if fails else Status.NO_WITNESS_FOUND)
+    for v in verdicts:
+        if v.witness is not None:
+            assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_searches_survive_a_repeated_projection(field):
+    family = gen_random_projections(4, [2] * 5, field, seed=3)
+    p = ProjectionFamily.from_projections(_with_a_repeat(family.projections), field)
+    cfg = SearchConfig(restarts=16, seed=2)
+    for v in (pr_falsifier(p, cfg), spanning_falsifier(p, cfg)):
+        assert v.status in (Status.FALSIFIED, Status.NO_WITNESS_FOUND)
+        if v.witness is not None:
+            assert verify_pr_witness(p, v.witness.u, v.witness.v).valid
+
+
 class _CountingSigma:
     """Wraps the solver's evaluation and records the batch size of every call."""
 
@@ -426,8 +568,8 @@ def offers(monkeypatch):
     seen = []
     solve = certify._gauss_newton
 
-    def recording(ops, X, cfg):
-        for rows, val, ws in solve(ops, X, cfg):
+    def recording(ops, X, *args):
+        for rows, val, ws in solve(ops, X, *args):
             seen.append((ops, rows, ws))
             yield rows, val, ws
 
