@@ -38,6 +38,7 @@ from .linalg import (
     gaussian_matrix,
     null_direction,
     orthonormalize,
+    rank_cutoff,
 )
 from .seeding import spawn_rng
 
@@ -241,25 +242,72 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
     return a / np.where(norms > 0.0, norms, 1.0)
 
 
+# eigh of A A* reads lam_min with rounding error about k eps lam_max, so
+# above _EIGH_RATIO lam_max its square root is off by at most about
+# k * 1e-8 relative (under 1e-6 for k <= 90)
+_EIGH_RATIO = 1e-8
+# sqrt(lam_min) must also clear the image rank cutoff by this factor, so
+# that error cannot bring the row within reach of the rank rule
+_EIGH_MARGIN = 4.0
+
+
 def _sigma_eval(ops, X, tol: Tolerances):
     """The value |w* A(x)|, the unit w attaining it, whether the images fail
     to span, and sigma_max, batched over the stacked images
     A(x) = [A_1 x ... A_k x].
 
     ops is a (k, d, d) operator stack and X holds one unit point per row.
-    w is the last column of the full left singular basis of A(x), so the
-    value is sigma_min when k >= d and 0 when k < d.  The flag is
-    image_rank's rule on the same singular values (_image_rank_from):
+    With k >= d every row first gets eigh of its Gram matrix A A*: w is
+    the eigenvector of lam_min, sigma_max = sqrt(lam_max) and the value
+    is ||w* A(x)||, the objective at the w the solver goes on with.  That
+    answer is kept only where lam_min > _EIGH_RATIO lam_max, so squaring
+    the conditioning costs about k * 1e-8 of sigma_min, and sqrt(lam_min)
+    exceeds _EIGH_MARGIN times the image rank cutoff, so the row is not
+    flagged at any rank_rtol and sits far above the rounding floor.  Every
+    other row, and every row of a stack of k < d operators, is read from
+    the SVD of A(x): w is the last column of its full left singular
+    basis, the value is sigma_min when k >= d and 0 when k < d, and the
+    flag is image_rank's rule on its singular values (_image_rank_from):
     fewer than d of them above rank_cutoff(max(sigma_max, 1), max(d, k)),
-    so a stack of k < d operators is short at every row.
+    so a stack of k < d operators is short at every row.  A flagged row,
+    or one at the rounding floor, thus always has its w and value from
+    an SVD.
     """
-    a = np.einsum("kij,rj->rik", ops, X)
-    d, k = a.shape[1:]
-    # with k >= d the reduced left basis is already the full one
-    u, s, _ = np.linalg.svd(a, full_matrices=k < d)
-    short = _image_rank_from(s, (d, k), tol) < d
-    value = s[:, -1] if k >= d else np.zeros(len(X))
-    return value, u[:, :, -1], short, s[:, 0]
+    k, d = ops.shape[:2]
+    a, r = _images(ops, X), len(X)
+    if k >= d:
+        lam, vecs = np.linalg.eigh(a @ a.conj().swapaxes(1, 2))
+        low, high = lam[:, 0], lam[:, -1]
+        cutoff = rank_cutoff(np.sqrt(np.maximum(high, 1.0)), k, tol)
+        gram = (low > _EIGH_RATIO * high) & (low > (_EIGH_MARGIN * cutoff) ** 2)
+        w = vecs[:, :, 0]
+        value = _row_norms((w.conj()[:, None, :] @ a)[:, 0])
+        short, top = np.zeros(r, dtype=bool), np.sqrt(np.maximum(high, 0.0))
+        svd = np.flatnonzero(~gram)
+    else:
+        w, value = np.empty((r, d), dtype=a.dtype), np.zeros(r)
+        short, top = np.ones(r, dtype=bool), np.empty(r)
+        svd = np.arange(r)
+    if svd.size:
+        # with k >= d the reduced left basis is already the full one
+        u, s, _ = np.linalg.svd(a[svd], full_matrices=k < d)
+        short[svd] = _image_rank_from(s, (d, k), tol) < d
+        if k >= d:
+            value[svd] = s[:, -1]
+        w[svd], top[svd] = u[:, :, -1], s[:, 0]
+    return value, w, short, top
+
+
+def _images(ops, X):
+    """The images A(x) = [A_1 x ... A_k x] of every row x of X, as an
+    (r, d, k) array, from one matrix product."""
+    k, d = ops.shape[:2]
+    return (ops.reshape(k * d, d) @ X.T).reshape(k, d, len(X)).T
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", a.conj(), a).real)
 
 
 def _tangent_jacobian(ops, X, W):
@@ -328,6 +376,33 @@ def _tangent_step(res, jac, X, W, lifted: bool):
 _HALVINGS = 10
 
 
+def _trial_residuals(ops, X, W, sx, sw, res, frac):
+    """||w_t* A(x_t)|| at the unit rows x_t, w_t along x + t sx and
+    w + t sw, batched over rows and step fractions t: (rows, len(frac)).
+
+    w_t* A_j x_t = (r0 + t r1 + t^2 r2) / (||x + t sx|| ||w + t sw||) with
+    r0 = w* A_j x (res, from _tangent_jacobian), r1 = w* A_j sx + sw* A_j x
+    and r2 = sw* A_j sx, so no candidate pair is formed.
+    """
+    k, d = ops.shape[:2]
+    # (r, d, 2k): columns A_j x for every j, then A_j sx
+    images = _images(ops, np.concatenate([X, sx])).reshape(2, len(X), d, k)
+    images = images.transpose(1, 2, 0, 3).reshape(len(X), d, 2 * k)
+    # rows x, sx, w, sw: their Gram matrix gives every norm along the step
+    vs = np.stack([X, sx, W, sw], axis=1)
+    gram = vs.conj() @ vs.swapaxes(1, 2)
+    # (r, 2, 2k): rows w* and sw* against both blocks of columns
+    forms = vs[:, 2:].conj() @ images
+    r1, r2 = forms[:, 0, k:] + forms[:, 1, :k], forms[:, 1, k:]
+    t = frac[None, :, None]
+    num = _row_norms(res[:, None] + t * (r1[:, None] + t * r2[:, None]))
+    # (r, 2, len(frac)): ||x + t sx||^2, then ||w + t sw||^2
+    g, head, tail = gram.real, [0, 2], [1, 3]
+    sq = g[:, head, head, None] + frac * (2.0 * g[:, head, tail, None]
+                                          + frac * g[:, tail, tail, None])
+    return num / np.sqrt(sq[:, 0] * sq[:, 1])
+
+
 def _gauss_newton(ops, X, cfg: SearchConfig, lifted: bool = False):
     """Batched Gauss-Newton on w* A_j x = 0 (j = 1..k) for unit x and w.
 
@@ -336,17 +411,20 @@ def _gauss_newton(ops, X, cfg: SearchConfig, lifted: bool = False):
     _tangent_jacobian), solved through the smaller Gram matrix with a
     fixed shift (see _tangent_step), and keeps the longest of the step
     and its first _HALVINGS halvings whose residual is below 1 - t/2
-    times the row's value at step fraction t; x and w are renormalized,
-    and one _sigma_eval reads the new value, w, flag and sigma_max.  A
-    row stops and leaves the batch when no fraction qualifies, or when
-    its value is at the rounding floor of that SVD, _FLOOR_ULPS ulps of
-    its sigma_max, where no step is left to take; cfg.max_iters bounds
-    the rounds.  Yields (rows, values, ws), and a row only while the
-    rank rule flags it: the first round it is flagged, since it may
-    already answer the search, again when it stops, and after the last
-    round, if it is still flagged then.  Its w comes from the same SVD
-    that flagged it, so it is orthogonal to every A_j x up to the rank
-    cutoff.  Rows that stop unflagged are never offered.  A caller that
+    times the row's value at step fraction t.  The residuals at all
+    fractions come in closed form from the residual, the step and two
+    more products (see _trial_residuals); only the accepted x is formed
+    and renormalized, and one _sigma_eval reads the new value, w, flag
+    and sigma_max.  A row stops and leaves the batch when no fraction
+    qualifies, or when its value is at the rounding floor of the SVD
+    that reads it there (the Gram route never takes such a row), within
+    _FLOOR_ULPS ulps of its sigma_max, where no step is left to take;
+    cfg.max_iters bounds the rounds.  Yields (rows, values, ws), and a
+    row only while the rank rule flags it: the first round it is
+    flagged, since it may already answer the search, again when it
+    stops, and after the last round, if it is still flagged then.  Its w
+    comes from the same SVD that flagged it, so it is orthogonal to every
+    A_j x up to the rank cutoff.  Rows that stop unflagged are never offered.  A caller that
     takes its answer from an early offer never resumes the generator.
     lifted says that ops is a _lifted_stack, whose Jacobian has two more
     known null directions.
@@ -365,16 +443,16 @@ def _gauss_newton(ops, X, cfg: SearchConfig, lifted: bool = False):
         if live.size == 0:
             return
         xl, wl = X[live], W[live]
-        step = _tangent_step(*_tangent_jacobian(ops, xl, wl), xl, wl, lifted)
-        # every step fraction at once, one candidate (x, w) per row and fraction
-        xs = _unit_rows(xl[:, None] + frac[:, None] * step[:, None, :d])
-        ws = _unit_rows(wl[:, None] + frac[:, None] * step[:, None, d:].conj())
-        trial = np.linalg.norm(np.einsum("kij,rtj,rti->rtk", ops, xs, ws.conj()), axis=-1)
+        res, jac = _tangent_jacobian(ops, xl, wl)
+        step = _tangent_step(res, jac, xl, wl, lifted)
+        sx, sw = step[:, :d], step[:, d:].conj()
+        trial = _trial_residuals(ops, xl, wl, sx, sw, res, frac)
         ok = trial < (1.0 - frac / 2.0) * val[live, None]
         moved = ok.any(axis=1)
         offer = np.zeros_like(short)
         offer[live] = short[live] & ~moved
-        X[live[moved]] = xs[moved, ok[moved].argmax(axis=1)]
+        t = frac[ok[moved].argmax(axis=1), None]
+        X[live[moved]] = _unit_rows(xl[moved] + t * sx[moved])
         live = live[moved]
         if live.size == 0:
             break

@@ -129,13 +129,14 @@ class Subspace:
 class ProjectionFamily:
     """Validated orthogonal projections stacked as an (m, n, n) array.
 
-    Each projection carries a cached ONB of its range in `subspaces`.
-    Build through from_projections / from_subspaces; the constructor
-    assumes its arguments are already consistent.
+    bases holds an orthonormal basis of each projection's range, as an
+    (n, rank) array.  Build through from_projections / from_subspaces /
+    from_frame; the constructor assumes its arguments are already
+    consistent.
     """
 
     projections: np.ndarray
-    subspaces: tuple[Subspace, ...]
+    bases: tuple[np.ndarray, ...]
     field: Field
 
     @property
@@ -148,12 +149,18 @@ class ProjectionFamily:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.subspaces)
+        return tuple(b.shape[1] for b in self.bases)
 
     @classmethod
     def from_projections(cls, mats, field: Field | None = None,
                          tol: Tolerances = DEFAULT_TOL) -> "ProjectionFamily":
-        """Validate raw matrices as orthogonal projections and cache ONBs."""
+        """Validate raw matrices as orthogonal projections and cache ONBs.
+
+        Every check runs on the whole stack at once, under tol.proj_tol;
+        the error names the first member that fails any of them, and the
+        first check it fails, in the order: self-adjoint, idempotent,
+        nonzero, equal to the projector onto its eigh range basis.
+        """
         stack = np.stack([np.asarray(p) for p in mats])
         if field is None:
             field = Field.infer(stack)
@@ -161,25 +168,26 @@ class ProjectionFamily:
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("projections must be a family of square matrices")
         ensure_finite(stack, "projections")
-        subspaces = []
-        for i, p in enumerate(stack):
-            sym = max_abs(p - p.conj().T)
-            if sym >= tol.proj_tol:
-                raise ValueError(f"projection {i + 1} is not self-adjoint (residual {sym:.3e})")
-            idem = max_abs(p @ p - p)
-            if idem >= tol.proj_tol:
-                raise ValueError(f"projection {i + 1} is not idempotent (residual {idem:.3e})")
-            lam, vecs = np.linalg.eigh(p)
-            keep = lam > 0.5  # projection spectrum is {0, 1}; the gap is huge
-            if not np.any(keep):
-                raise ValueError(f"projection {i + 1} is zero; ranks must be >= 1")
-            onb = vecs[:, keep]
-            rebuilt = max_abs(onb @ onb.conj().T - p)
-            if rebuilt >= tol.proj_tol:
-                raise ValueError(f"projection {i + 1} does not match its range ONB "
-                                 f"(residual {rebuilt:.3e})")
-            subspaces.append(Subspace(onb, field))
-        return cls(stack, tuple(subspaces), field)
+        lam, vecs = np.linalg.eigh(stack)
+        keep = lam > 0.5  # projection spectrum is {0, 1}; the gap is huge
+        ranks = keep.sum(axis=1)
+        onbs = vecs * keep[:, None, :]
+        sym = _max_abs_each(stack - stack.conj().swapaxes(1, 2))
+        idem = _max_abs_each(stack @ stack - stack)
+        rebuilt = _max_abs_each(onbs @ onbs.conj().swapaxes(1, 2) - stack)
+        faults = np.stack([sym >= tol.proj_tol, idem >= tol.proj_tol, ranks == 0,
+                           rebuilt >= tol.proj_tol])
+        if faults.any():
+            i = int(np.flatnonzero(faults.any(axis=0))[0])
+            reasons = [f"is not self-adjoint (residual {sym[i]:.3e})",
+                       f"is not idempotent (residual {idem[i]:.3e})",
+                       "is zero; ranks must be >= 1",
+                       f"does not match its range ONB (residual {rebuilt[i]:.3e})"]
+            raise ValueError(f"projection {i + 1} {reasons[int(np.argmax(faults[:, i]))]}")
+        n = stack.shape[1]
+        # eigenvalues ascend, so each range basis is a block of trailing columns
+        bases = tuple(np.ascontiguousarray(v[:, n - r:]) for v, r in zip(vecs, ranks))
+        return cls(stack, bases, field)
 
     @classmethod
     def from_subspaces(cls, subspaces, tol: Tolerances = DEFAULT_TOL) -> "ProjectionFamily":
@@ -193,14 +201,29 @@ class ProjectionFamily:
         if len(dims) != 1:
             raise ValueError("subspaces live in different ambient dimensions")
         stack = np.stack([projector_from_basis(s.onb, tol) for s in subs])
-        return cls(stack, subs, fields.pop())
+        return cls(stack, tuple(s.onb for s in subs), fields.pop())
 
     @classmethod
     def from_frame(cls, f: Frame, tol: Tolerances = DEFAULT_TOL) -> "ProjectionFamily":
-        """Rank-1 projections onto the lines spanned by the frame vectors."""
+        """Rank-1 projections onto the lines spanned by the frame vectors.
+
+        Each normalized vector must have unit norm within tol.proj_tol (a
+        norm that overflowed does not); the error names the first that
+        does not.
+        """
         units = f.vectors / np.linalg.norm(f.vectors, axis=0)
-        subs = tuple(Subspace(units[:, i:i + 1], f.field) for i in range(f.size))
-        return cls.from_subspaces(subs, tol)
+        resid = np.abs(np.einsum("im,im->m", units.conj(), units).real - 1.0)
+        bad = np.flatnonzero(~(resid < tol.proj_tol))
+        if bad.size:
+            raise ValueError(f"frame vector {bad[0] + 1} does not normalize to a unit vector "
+                             f"(residual {resid[bad[0]]:.3e})")
+        stack = np.einsum("im,jm->mij", units, units.conj())
+        return cls(stack, tuple(np.ascontiguousarray(units.T)[:, :, None]), f.field)
+
+
+def _max_abs_each(a: np.ndarray) -> np.ndarray:
+    """max_abs of every matrix of an (m, n, n) stack."""
+    return np.abs(a).max(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -731,20 +754,17 @@ def onb_union(p: ProjectionFamily, seed: int = 0) -> Frame:
     span is unchanged while the basis choice varies with the seed.
     """
     rng = spawn_rng(seed, _STREAM_UNION)
-    cols = []
-    for s in p.subspaces:
-        rot = haar_rotation(rng, s.dim, p.field)
-        cols.append(s.onb @ rot)
+    cols = [b @ haar_rotation(rng, b.shape[1], p.field) for b in p.bases]
     return Frame(np.concatenate(cols, axis=1), p.field)
 
 
 def rank1_reduction(p: ProjectionFamily, tol: Tolerances = DEFAULT_TOL) -> Frame:
     """Unit vectors spanning the ranges of a rank-1 projection family."""
-    bad = [i for i, s in enumerate(p.subspaces) if s.dim != 1]
+    bad = [i for i, r in enumerate(p.ranks) if r != 1]
     if bad:
-        raise ValueError(f"projection {bad[0] + 1} has rank {p.subspaces[bad[0]].dim}; "
+        raise ValueError(f"projection {bad[0] + 1} has rank {p.ranks[bad[0]]}; "
                          "rank-1 reduction needs all ranks equal to 1")
-    cols = np.concatenate([s.onb for s in p.subspaces], axis=1)
+    cols = np.concatenate(p.bases, axis=1)
     return Frame(cols, p.field)
 
 

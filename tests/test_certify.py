@@ -428,6 +428,104 @@ def test_gauss_newton_stops_at_the_rounding_floor(monkeypatch, seed, start):
     assert offers[-1][1][0] == evals[-1][0]
 
 
+_RTOLS = [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]
+_FLOOR = certify._FLOOR_ULPS * np.finfo(float).eps
+
+
+def _svd_sigma_eval(ops, X, tol):
+    """The solver's evaluation read from the SVD of every row: value, w,
+    flag, sigma_max and the image rank cutoff.  The images come from the
+    solver's own product, so that its SVD rows match these to the bit."""
+    k, d = ops.shape[:2]
+    a = (ops.reshape(k * d, d) @ X.T).reshape(k, d, len(X)).T
+    u, s, _ = np.linalg.svd(a, full_matrices=k < d)
+    cutoff = rank_cutoff(np.maximum(s[:, 0], 1.0), max(d, k), tol)
+    short = np.count_nonzero(s > cutoff[:, None], axis=1) < d
+    value = s[:, -1] if k >= d else np.zeros(len(X))
+    return value, u[:, :, -1], short, s[:, 0], cutoff
+
+
+def _sigma_stacks():
+    """(ops, X) pairs: real, complex and lifted stacks of 12 random frames,
+    and of frames pushed to within eps of a hyperplane, eps = 1e-1 down
+    to 1e-14 in quarter decades, whose images at every point have a
+    sigma_min near eps; k >= d, and k < d on the (4, 3) frames."""
+    rng = np.random.default_rng(21)
+    for field in (Field.REAL, Field.COMPLEX):
+        for n, m in [(3, 5), (4, 9), (4, 3)]:
+            planted = [None] * 12 + list(10.0 ** -np.arange(1.0, 14.25, 0.25))
+            for eps in planted:
+                cols = random_unit_columns(rng, n, m, field)
+                if eps is not None:
+                    normal = random_unit_columns(rng, n, 1, field)
+                    cols -= normal @ (normal.conj().T @ cols)
+                    cols += eps * normal @ random_unit_columns(rng, 1, m, field)
+                p = ProjectionFamily.from_frame(Frame(cols, field))
+                for ops in {id(s): s for s in (p.projections, _lifted_stack(p))}.values():
+                    yield ops, random_unit_columns(rng, ops.shape[1], 8, Field.infer(ops)).T
+
+
+@pytest.mark.parametrize("rtol", _RTOLS)
+def test_sigma_eval_agrees_with_the_svd_and_reads_flagged_rows_from_it(rtol):
+    tol = Tolerances(rank_rtol=rtol)
+    rows = {"gram": 0, "svd": 0, "flagged": 0}
+    for ops, X in _sigma_stacks():
+        val, w, short, top = certify._sigma_eval(ops, X, tol)
+        ref_val, ref_w, ref_short, ref_top, cutoff = _svd_sigma_eval(ops, X, tol)
+        np.testing.assert_array_equal(short, ref_short)
+        np.testing.assert_allclose(top, ref_top, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(val - ref_val) <= 1e-6 * ref_val)
+        # flagged rows, rows at the rounding floor, and rows that the Gram
+        # eigenvalues cannot place safely off the cutoff are the SVD's
+        must = (ref_short | (ref_val <= _FLOOR * ref_top) | (ref_val <= 3.9 * cutoff)
+                | (ref_val <= 0.99e-4 * ref_top))
+        np.testing.assert_array_equal(w[must], ref_w[must])
+        np.testing.assert_array_equal(val[must], ref_val[must])
+        np.testing.assert_array_equal(top[must], ref_top[must])
+        gram = np.any(w != ref_w, axis=1)
+        assert not short[gram].any() and np.all(val[gram] > _FLOOR * top[gram])
+        np.testing.assert_allclose(np.linalg.norm(w, axis=1), 1.0, rtol=1e-13)
+        rows["gram"] += gram.sum()
+        rows["svd"] += (~gram).sum()
+        rows["flagged"] += short.sum()
+    # both routes run at every tolerance, and the sweep flags rows
+    assert min(rows.values()) >= 50, rows
+
+
+def _trial_direct(ops, X, W, sx, sw, frac):
+    """||w_t* A(x_t)|| from every candidate pair, formed and normalized."""
+    xs = X[:, None] + frac[:, None] * sx[:, None]
+    ws = W[:, None] + frac[:, None] * sw[:, None]
+    xs /= np.linalg.norm(xs, axis=-1, keepdims=True)
+    ws /= np.linalg.norm(ws, axis=-1, keepdims=True)
+    return np.linalg.norm(np.einsum("kij,rtj,rti->rtk", ops, xs, ws.conj()), axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "lifted", "rank2"])
+def test_trial_residuals_match_the_direct_evaluation(kind):
+    rng = np.random.default_rng(["real", "complex", "lifted", "rank2"].index(kind))
+    if kind == "lifted":
+        ops = _lifted_frame_stack(rng, 3, 7)
+    elif kind == "rank2":
+        ops = random_projection_stack(rng, 4, [2] * 5, Field.COMPLEX)
+    else:
+        field = Field.REAL if kind == "real" else Field.COMPLEX
+        ops = random_projection_stack(rng, 4, [1] * 9, field)
+    field, d = Field.infer(ops), ops.shape[1]
+    X = random_unit_columns(rng, d, 40, field).T
+    val, W, _, _ = certify._sigma_eval(ops, X, Tolerances())
+    res, jac = certify._tangent_jacobian(ops, X, W)
+    frac = 0.5 ** np.arange(certify._HALVINGS + 1)
+    step = certify._tangent_step(res, jac, X, W, kind == "lifted")
+    # the solver's own steps, and arbitrary ones, on which r2 weighs as much as r1
+    for sx, sw in [(step[:, :d], step[:, d:].conj()),
+                   (random_unit_columns(rng, d, 40, field).T,
+                    0.7 * random_unit_columns(rng, d, 40, field).T)]:
+        got = certify._trial_residuals(ops, X, W, sx, sw, res, frac)
+        direct = _trial_direct(ops, X, W, sx, sw, frac)
+        assert np.all(np.abs(got - direct) <= 1e-12 * val[:, None])
+
+
 def _tangent_system(rng, ops, batch: int, w=None):
     """Residuals and tangent Jacobians of ops at random unit x, and w
     random too unless given, with those x and w."""

@@ -24,6 +24,8 @@ from phaseret import (
 from phaseret import frames
 from phaseret.certify import _sigma_eval
 from phaseret.frames import Subspace, _first_deficient_subset, _outer_table, _screen_spans
+from phaseret.linalg import haar_rotation, projector_from_basis
+from phaseret.seeding import spawn_rng
 
 from conftest import (
     _brute_rank,
@@ -79,6 +81,128 @@ def test_family_from_frame_is_rank_one():
     v = np.array([3.0, 4.0]) / 5.0
     np.testing.assert_allclose(p.projections[1] @ v, v, atol=1e-12)
     np.testing.assert_allclose(p.projections[1] @ np.array([4.0, -3.0]), 0.0, atol=1e-12)
+
+
+def _member_bases(stack):
+    """Range ONB of every projection, from its own eigh."""
+    out = []
+    for p in stack:
+        lam, vecs = np.linalg.eigh(p)
+        out.append(vecs[:, lam > 0.5])
+    return out
+
+
+def _member_fault(stack, tol):
+    """The error of a member-by-member validation: every check of the
+    first member, then of the second, and so on."""
+    for i, p in enumerate(stack):
+        if np.max(np.abs(p - p.conj().T)) >= tol.proj_tol:
+            return f"projection {i + 1} is not self-adjoint"
+        if np.max(np.abs(p @ p - p)) >= tol.proj_tol:
+            return f"projection {i + 1} is not idempotent"
+        onb = _member_bases([p])[0]
+        if onb.shape[1] == 0:
+            return f"projection {i + 1} is zero"
+        if np.max(np.abs(onb @ onb.conj().T - p)) >= tol.proj_tol:
+            return f"projection {i + 1} does not match its range ONB"
+    return None
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_family_from_frame_matches_its_members(field):
+    rng = np.random.default_rng(8)
+    cols = _gaussian(rng, (4, 9), field)
+    p = ProjectionFamily.from_frame(Frame(cols, field))
+    units = cols / np.linalg.norm(cols, axis=0)
+    single = [projector_from_basis(units[:, i:i + 1]) for i in range(9)]
+    np.testing.assert_array_equal(p.projections, np.stack(single))
+    assert p.ranks == (1,) * 9
+    for i, b in enumerate(p.bases):
+        np.testing.assert_array_equal(b, units[:, i:i + 1])
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_family_from_projections_matches_its_members(field):
+    rng = np.random.default_rng(9)
+    ranks = [1, 3, 2, 4, 2, 1]
+    stack = random_projection_stack(rng, 4, ranks, field)
+    p = ProjectionFamily.from_projections(stack, field)
+    np.testing.assert_array_equal(p.projections, stack)
+    assert p.ranks == tuple(ranks)
+    for b, ref in zip(p.bases, _member_bases(stack)):
+        np.testing.assert_array_equal(b, ref)
+
+
+def _faulty_stacks(field):
+    """(stack, tol) pairs with members broken in every way the validation
+    names, one or two at a time."""
+    rng = np.random.default_rng(10)
+    good = random_projection_stack(rng, 4, [1, 2, 1, 3, 2], field)
+    skew = np.zeros((4, 4), dtype=good.dtype)
+    skew[0, 1] = 1e-3
+    tol = Tolerances()
+    cases = []
+    for i in range(5):
+        for fault in ("scaled", "skew", "zero", "both"):
+            s = good.copy()
+            if fault == "scaled":
+                s[i] *= 1.0 + 1e-3
+            elif fault == "skew":
+                s[i] += skew
+            elif fault == "zero":
+                s[i] = 0.0
+            else:
+                # not self-adjoint and not idempotent, then a zero member
+                s[i] = 2.0 * s[i] + skew
+                s[(i + 2) % 5] = 0.0
+            cases.append((s, tol))
+    # diag(1, 0.4, 0, 0) passes both first checks at proj_tol 0.3, but its
+    # range ONB rebuilds diag(1, 0, 0, 0)
+    s = good.copy()
+    s[3] = np.diag([1.0, 0.4, 0.0, 0.0])
+    cases.append((s, Tolerances(proj_tol=0.3)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_family_from_projections_names_the_first_bad_member(field):
+    for stack, tol in _faulty_stacks(field):
+        expected = _member_fault(stack, tol)
+        assert expected is not None
+        with pytest.raises(ValueError, match=f"^{expected}[ ;]"):
+            ProjectionFamily.from_projections(stack, field, tol)
+    stack = _faulty_stacks(field)[0][0]
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="projections contains NaN or Inf entries"):
+        ProjectionFamily.from_projections(stack, field)
+
+
+def test_family_from_frame_checks_units_at_the_callers_tolerance():
+    # (1, 1, 1) / sqrt(3) has squared norm 1 + 2^-52 in floating point, so
+    # it passes the default proj_tol and fails one below that rounding,
+    # while e1 and (1, 2, 2) / 3 normalize exactly
+    f = real_frame([[1.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, 2.0, 1.0]])
+    assert ProjectionFamily.from_frame(f).ranks == (1, 1, 1)
+    with pytest.raises(ValueError, match="^frame vector 3 does not normalize"):
+        ProjectionFamily.from_frame(f, Tolerances(proj_tol=1e-17))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_onb_union_and_rank1_reduction_are_the_member_bases(field):
+    # the family's bases are the member-by-member eigh bases to the bit, so
+    # onb_union rotates exactly those, and rank1_reduction returns the
+    # normalized frame vectors
+    rng = np.random.default_rng(12)
+    stack = random_projection_stack(rng, 4, [2, 1, 3, 2], field)
+    p = ProjectionFamily.from_projections(stack, field)
+    for seed in (0, 5):
+        stream = spawn_rng(seed, frames._STREAM_UNION)
+        ref = [b @ haar_rotation(stream, b.shape[1], field) for b in _member_bases(stack)]
+        np.testing.assert_array_equal(onb_union(p, seed).vectors, np.concatenate(ref, axis=1))
+    cols = _gaussian(rng, (3, 7), field)
+    units = cols / np.linalg.norm(cols, axis=0)
+    g = rank1_reduction(ProjectionFamily.from_frame(Frame(cols, field)))
+    np.testing.assert_array_equal(g.vectors, units)
 
 
 # ---------------------------------------------------------------------------
