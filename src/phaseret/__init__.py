@@ -16,20 +16,17 @@ from .linalg import (
     Tolerances,
     numerical_rank,
     orthonormalize,
-    projector_from_basis,
 )
 from .frames import (
     Frame,
     PartitionWitness,
     ProjectionFamily,
     SpanningReport,
-    Subspace,
     complement_property,
     full_spark,
     image_matrix,
     nonspanning_point_from_cp_failure,
     onb_union,
-    rank1_reduction,
     spanning_at,
 )
 from .certify import (
@@ -68,7 +65,6 @@ __all__ = [
     "SearchConfig",
     "SpanningReport",
     "Status",
-    "Subspace",
     "Tolerances",
     "Verdict",
     "WitnessCheck",
@@ -90,8 +86,6 @@ __all__ = [
     "phase_gap",
     "pr_falsifier",
     "pr_witness_from_nonspanning",
-    "projector_from_basis",
-    "rank1_reduction",
     "spanning_at",
     "spanning_falsifier",
     "spawn_rng",

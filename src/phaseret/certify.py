@@ -22,12 +22,11 @@ from .frames import (
     Frame,
     PartitionWitness,
     ProjectionFamily,
-    Subspace,
     complement_property,
     full_spark,
     image_matrix,
     nonspanning_point_from_cp_failure,
-    rank1_reduction,
+    onb_union,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -145,16 +144,20 @@ def phase_gap(u, v) -> float:
 def verify_pr_witness(p: ProjectionFamily, u, v, tol: Tolerances = DEFAULT_TOL) -> WitnessCheck:
     """Recompute the witness conditions from scratch.
 
-    valid means both: measurements agree within witness_tol, and the pair
-    is not phase-equivalent (phase_gap above phase_tol).
+    valid means both: measurements agree within witness_tol * s^2, with
+    s = max(||u||, ||v||), and the pair is not phase-equivalent (phase_gap
+    above phase_tol); neither depends on the pair's common scale.  A pair
+    whose shorter vector is at most proj_tol * s is refused as zero.
     """
     u = np.asarray(u).reshape(-1)
     v = np.asarray(v).reshape(-1)
-    if np.linalg.norm(u) <= tol.proj_tol or np.linalg.norm(v) <= tol.proj_tol:
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    scale = max(nu, nv)
+    if min(nu, nv) <= tol.proj_tol * scale:
         raise ValueError("witness vectors must be nonzero")
     mm = float(np.max(np.abs(measurements(p, u) - measurements(p, v))))
     pg = phase_gap(u, v)
-    return WitnessCheck(valid=mm < tol.witness_tol and pg > tol.phase_tol,
+    return WitnessCheck(valid=mm < tol.witness_tol * scale ** 2 and pg > tol.phase_tol,
                         max_mismatch=mm, phase_gap=pg)
 
 
@@ -515,9 +518,10 @@ def _search_verdict(p: ProjectionFamily, ops: np.ndarray, cfg: SearchConfig,
 def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> Verdict:
     """Hunt for a point where the images {P_i x} fail to span.
 
-    Real rank-1 families get an exact verdict through the frame reduction
-    and the complement property when the bipartition walk stays within
-    its row budget (see decide_real_rank1).  Everything else, and a real
+    A real family of rank-1 projections gets an exact verdict: its
+    onb_union is the frame of its unit vectors, which decide_real_rank1
+    settles by the complement property when the bipartition walk stays
+    within its row budget.  Everything else, and a real
     frame whose walk exceeds that budget, is search: each found point x
     comes with a unit w orthogonal to every P_i x, which makes
     (x+w, x-w) a witness pair (see pr_witness_from_nonspanning); the
@@ -528,7 +532,7 @@ def spanning_falsifier(p: ProjectionFamily, cfg: SearchConfig | None = None) -> 
     cfg = cfg or SearchConfig()
     if p.field is Field.REAL and all(r == 1 for r in p.ranks):
         try:
-            return decide_real_rank1(rank1_reduction(p, cfg.tol), cfg.tol)
+            return decide_real_rank1(onb_union(p), cfg.tol)
         except CapacityError:
             pass
     return _search_verdict(p, p.projections, cfg, "spanning-search")
@@ -647,12 +651,10 @@ def gen_random_projections(n: int, ranks, field: Field, seed: int = 0,
     bad = [r for r in ranks if not 1 <= r <= n]
     if bad:
         raise ValueError(f"rank {bad[0]} outside [1, {n}]")
-    subs = []
-    for i, r in enumerate(ranks):
-        rng = spawn_rng(seed, _STREAM_SUBSPACE, i)
-        g = gaussian_matrix(rng, n, r, field)
-        subs.append(Subspace(orthonormalize(g, tol), field))
-    return ProjectionFamily.from_subspaces(subs, tol)
+    bases = [orthonormalize(gaussian_matrix(spawn_rng(seed, _STREAM_SUBSPACE, i), n, r, field), tol)
+             for i, r in enumerate(ranks)]
+    # from_projections would replace these bases by eigh's, up to sign or phase
+    return ProjectionFamily(np.stack([b @ b.conj().T for b in bases]), tuple(bases), field)
 
 
 def gen_random_frame(n: int, m: int, field: Field, seed: int = 0) -> Frame:

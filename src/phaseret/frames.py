@@ -16,22 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FieldError
+from .errors import CapacityError
 from .linalg import (
     DEFAULT_TOL,
     Field,
     Tolerances,
     as_field_array,
     ensure_finite,
-    haar_rotation,
     image_rank,
-    max_abs,
-    projector_from_basis,
     rank_cutoff,
 )
-from .seeding import spawn_rng
-
-_STREAM_UNION = 2
 
 # Rounding guard of the certain-spans screen that both exact walks run
 # before their exact rank rule (_screen_spans).  A row's scatter matrix
@@ -71,7 +65,11 @@ _WALK_BUDGET = 2 ** 25
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """Ordered family of m nonzero vectors as columns of an (n, m) array."""
+    """Ordered family of m nonzero vectors as columns of an (n, m) array.
+
+    Every decision on a frame is scale-invariant, so only an exactly zero
+    column is refused, however small the others are.
+    """
 
     vectors: np.ndarray
     field: Field
@@ -81,10 +79,9 @@ class Frame:
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("frame needs a nonempty (n, m) column array")
         ensure_finite(arr, "frame vectors")
-        norms = np.linalg.norm(arr, axis=0)
-        bad = np.flatnonzero(norms <= DEFAULT_TOL.proj_tol)
+        bad = np.flatnonzero(~arr.any(axis=0))
         if bad.size:
-            raise ValueError(f"frame vector {bad[0] + 1} is numerically zero")
+            raise ValueError(f"frame vector {bad[0] + 1} is zero")
         object.__setattr__(self, "vectors", arr)
 
     @property
@@ -100,39 +97,13 @@ class Frame:
 
 
 @dataclass(frozen=True, eq=False)
-class Subspace:
-    """Subspace of the ambient space, held as an orthonormal column basis."""
-
-    onb: np.ndarray
-    field: Field
-
-    def __post_init__(self):
-        arr = as_field_array(self.onb, self.field, "subspace basis")
-        if arr.ndim != 2 or not 1 <= arr.shape[1] <= arr.shape[0]:
-            raise ValueError("subspace basis must be (n, d) with 1 <= d <= n")
-        ensure_finite(arr, "subspace basis")
-        resid = max_abs(arr.conj().T @ arr - np.eye(arr.shape[1]))
-        if resid >= DEFAULT_TOL.proj_tol:
-            raise ValueError(f"subspace basis not orthonormal (residual {resid:.3e})")
-        object.__setattr__(self, "onb", arr)
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.onb.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.onb.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class ProjectionFamily:
     """Validated orthogonal projections stacked as an (m, n, n) array.
 
     bases holds an orthonormal basis of each projection's range, as an
-    (n, rank) array.  Build through from_projections / from_subspaces /
-    from_frame; the constructor assumes its arguments are already
-    consistent.
+    (n, rank) array; onb_union concatenates them.  Build through
+    from_projections (matrices) or from_frame (vectors); the constructor
+    assumes its arguments are already consistent.
     """
 
     projections: np.ndarray
@@ -190,20 +161,6 @@ class ProjectionFamily:
         return cls(stack, bases, field)
 
     @classmethod
-    def from_subspaces(cls, subspaces, tol: Tolerances = DEFAULT_TOL) -> "ProjectionFamily":
-        subs = tuple(subspaces)
-        if not subs:
-            raise ValueError("need at least one subspace")
-        fields = {s.field for s in subs}
-        dims = {s.dim_ambient for s in subs}
-        if len(fields) != 1:
-            raise FieldError("subspaces mix scalar fields")
-        if len(dims) != 1:
-            raise ValueError("subspaces live in different ambient dimensions")
-        stack = np.stack([projector_from_basis(s.onb, tol) for s in subs])
-        return cls(stack, tuple(s.onb for s in subs), fields.pop())
-
-    @classmethod
     def from_frame(cls, f: Frame, tol: Tolerances = DEFAULT_TOL) -> "ProjectionFamily":
         """Rank-1 projections onto the lines spanned by the frame vectors.
 
@@ -222,7 +179,7 @@ class ProjectionFamily:
 
 
 def _max_abs_each(a: np.ndarray) -> np.ndarray:
-    """max_abs of every matrix of an (m, n, n) stack."""
+    """Max-entry norm of every matrix of an (m, n, n) stack."""
     return np.abs(a).max(axis=(1, 2))
 
 
@@ -746,26 +703,13 @@ def spanning_at(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL) -> Spanni
     return SpanningReport(spans=rank == p.dim, rank=rank)
 
 
-def onb_union(p: ProjectionFamily, seed: int = 0) -> Frame:
-    """Frame of per-subspace orthonormal bases, randomly rotated in place.
+def onb_union(p: ProjectionFamily) -> Frame:
+    """Frame of the members' cached range bases, concatenated in order.
 
-    Each subspace contributes dim-many columns: its cached ONB pushed
-    through a seeded Haar rotation of the same size, so the per-subspace
-    span is unchanged while the basis choice varies with the seed.
+    Member i contributes rank_i columns, an orthonormal basis of its
+    range, so a rank-1 family becomes a frame of unit vectors on its lines.
     """
-    rng = spawn_rng(seed, _STREAM_UNION)
-    cols = [b @ haar_rotation(rng, b.shape[1], p.field) for b in p.bases]
-    return Frame(np.concatenate(cols, axis=1), p.field)
-
-
-def rank1_reduction(p: ProjectionFamily, tol: Tolerances = DEFAULT_TOL) -> Frame:
-    """Unit vectors spanning the ranges of a rank-1 projection family."""
-    bad = [i for i, r in enumerate(p.ranks) if r != 1]
-    if bad:
-        raise ValueError(f"projection {bad[0] + 1} has rank {p.ranks[bad[0]]}; "
-                         "rank-1 reduction needs all ranks equal to 1")
-    cols = np.concatenate(p.bases, axis=1)
-    return Frame(cols, p.field)
+    return Frame(np.concatenate(p.bases, axis=1), p.field)
 
 
 def nonspanning_point_from_cp_failure(p: ProjectionFamily, f: Frame, w: PartitionWitness,

@@ -64,7 +64,8 @@ class Tolerances:
 
     rank_rtol   relative singular-value cutoff for rank counting
     proj_tol    max-entry bound for projector and orthonormality validation
-    witness_tol bound on the measurement mismatch of a witness pair
+    witness_tol bound on the measurement mismatch of a witness pair,
+                relative to the pair's squared scale max(||u||, ||v||)^2
     phase_tol   bound below which two vectors count as phase-equivalent
     """
 
@@ -158,40 +159,9 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return u[:, :r]
 
 
-def projector_from_basis(onb, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector B @ B* onto the span of orthonormal columns.
-
-    The columns must already be orthonormal within proj_tol; the result is
-    self-adjoint and idempotent to the same precision and has rank equal
-    to the number of columns.
-    """
-    b = np.asarray(onb)
-    if b.ndim != 2 or b.shape[1] == 0:
-        raise ValueError("projector_from_basis needs at least one basis column")
-    ensure_finite(b, "basis")
-    gram = b.conj().T @ b
-    resid = np.max(np.abs(gram - np.eye(b.shape[1])))
-    if resid >= tol.proj_tol:
-        raise ValueError(f"basis columns are not orthonormal (Gram residual {resid:.3e})")
-    return b @ b.conj().T
-
-
 def gaussian_matrix(rng: np.random.Generator, n: int, k: int, field: Field) -> np.ndarray:
     """Standard Gaussian (n, k) matrix over the given field."""
     if field is Field.COMPLEX:
         return rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     return rng.standard_normal((n, k))
 
-
-def haar_rotation(rng: np.random.Generator, k: int, field: Field) -> np.ndarray:
-    """Haar-distributed orthogonal (real) or unitary (complex) k x k matrix."""
-    g = gaussian_matrix(rng, k, k, field)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
-    d = np.where(np.abs(d) == 0.0, 1.0, d)
-    return q * (d / np.abs(d))
-
-
-def max_abs(a) -> float:
-    """Max-entry norm, the residual measure used for projector validation."""
-    return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0

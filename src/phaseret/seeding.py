@@ -8,7 +8,6 @@ integer path that names the consumer, via numpy's SeedSequence:
 
 Stream codes used by the library (paths are (root, code, *indices)):
 
-    2  basis rotations when forming a basis union
     3  random subspace generation (index: subspace position)
     4  spanning-search starting points
     7  survey trial frames (indices: n, m, trial)

@@ -34,7 +34,6 @@ from phaseret import (
     orthonormalize,
     pr_falsifier,
     pr_witness_from_nonspanning,
-    projector_from_basis,
     spanning_at,
     verify_pr_witness,
 )
@@ -174,8 +173,13 @@ def test_acceptance_3_union_cp_machinery():
         m_proj = int(rng.integers(2, 4))
         ranks = [int(rng.integers(1, n)) for _ in range(m_proj)]
         p = gen_random_projections(n, ranks, Field.REAL, seed=3000 + k)
+        blocks = np.split(onb_union(p).vectors, np.cumsum(p.ranks)[:-1], axis=1)
         for j in range(10):
-            f = onb_union(p, seed=j)
+            # each member's basis turned by its own rotation, the Q of a
+            # seeded Gaussian: another ONB union of the same family
+            turn = np.random.default_rng((3000 + k, j))
+            f = Frame(np.hstack([b @ np.linalg.qr(turn.standard_normal((b.shape[1],) * 2))[0]
+                                 for b in blocks]), Field.REAL)
             w = complement_property(f)
             if w is None:
                 continue
@@ -295,11 +299,12 @@ def test_acceptance_6_kernels():
         if cplx:
             g = g + 1j * rng.standard_normal((n, k))
         b = orthonormalize(g)
-        p = projector_from_basis(b)
+        p = b @ b.conj().T
         resid = max(
             np.max(np.abs(p @ p - p)),
             np.max(np.abs(p - p.conj().T)),
             np.max(np.abs(p @ b - b)),
+            np.max(np.abs(b.conj().T @ b - np.eye(k))),
         )
         worst_resid = max(worst_resid, resid)
 

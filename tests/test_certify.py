@@ -99,6 +99,24 @@ def test_verify_rejects_measurement_mismatch():
     assert not chk.valid and chk.max_mismatch == pytest.approx(1.0)
 
 
+def test_verify_is_scale_invariant():
+    # {e1, e2, e1+e2} has the complement property, so (e1, 2 e2) is no
+    # witness however small; its mismatch 4 s^2 is judged against s^2
+    p = ProjectionFamily.from_frame(MERCEDES)
+    e1, e2 = np.eye(2)
+    for s in (1.0, 1e-5, 1e-100):
+        assert not verify_pr_witness(p, s * e1, 2 * s * e2).valid
+    # a true witness whose mismatch is rounding stays valid at any scale
+    f = gen_random_frame(3, 4, Field.REAL, seed=0)
+    w = decide_real_rank1(f).witness
+    q = ProjectionFamily.from_frame(f)
+    for s in (1e-5, 1e5):
+        assert verify_pr_witness(q, s * w.u, s * w.v).valid
+    # zero is judged against the larger vector
+    with pytest.raises(ValueError, match="nonzero"):
+        verify_pr_witness(p, e1, 1e-9 * e2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.0, 2 * np.pi), st.integers(0, 10 ** 6))
 def test_verify_phase_invariance(angle, seed):

@@ -65,6 +65,13 @@ def test_check_cp_past_cap_certified_through_full_spark(tmp_path, capsys):
     assert "holds" in capsys.readouterr().out
 
 
+def test_check_cp_tiny_frame_is_valid_input(tmp_path, capsys):
+    # the walk is scale-invariant, so a frame of norm 1e-9 is decided, not refused
+    tiny = pr.Frame(1e-9 * MERCEDES.vectors, pr.Field.REAL)
+    assert main(["check-cp", write_frame(tmp_path, tiny)]) == 0
+    assert "holds" in capsys.readouterr().out
+
+
 def test_check_spark(tmp_path, capsys):
     assert main(["check-spark", write_frame(tmp_path, MERCEDES)]) == 0
     par = pr.Frame(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]), pr.Field.REAL)
@@ -302,6 +309,15 @@ def test_verify_witness_invalid(tmp_path, capsys):
     wp = str(tmp_path / "pair.json")
     save_json(wp, pair_to_dict(np.array([1.0, 0.0]), np.array([0.0, 1.0]), pr.Field.REAL))
     assert main(["verify-witness", write_frame(tmp_path, AXES), "--witness", wp]) == 1
+    assert "invalid" in capsys.readouterr().out
+
+
+def test_verify_witness_tiny_non_witness_is_invalid(tmp_path, capsys):
+    # {e1, e2, e1+e2} has the complement property; the mismatch 4e-10 of
+    # (1e-5 e1, 2e-5 e2) is small only because the pair is
+    wp = str(tmp_path / "pair.json")
+    save_json(wp, pair_to_dict(np.array([1e-5, 0.0]), np.array([0.0, 2e-5]), pr.Field.REAL))
+    assert main(["verify-witness", write_frame(tmp_path, MERCEDES), "--witness", wp]) == 1
     assert "invalid" in capsys.readouterr().out
 
 

@@ -11,6 +11,7 @@ from phaseret import (
     Frame,
     PartitionWitness,
     ProjectionFamily,
+    SearchConfig,
     Tolerances,
     complement_property,
     full_spark,
@@ -18,14 +19,12 @@ from phaseret import (
     nonspanning_point_from_cp_failure,
     numerical_rank,
     onb_union,
-    rank1_reduction,
     spanning_at,
+    spanning_falsifier,
 )
 from phaseret import frames
 from phaseret.certify import _sigma_eval
-from phaseret.frames import Subspace, _first_deficient_subset, _outer_table, _screen_spans
-from phaseret.linalg import haar_rotation, projector_from_basis
-from phaseret.seeding import spawn_rng
+from phaseret.frames import _first_deficient_subset, _outer_table, _screen_spans
 
 from conftest import (
     _brute_rank,
@@ -54,11 +53,8 @@ def test_frame_shape_properties():
 def test_frame_rejects_zero_column():
     with pytest.raises(ValueError, match="zero"):
         real_frame([[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_subspace_requires_onb():
-    with pytest.raises(ValueError):
-        Subspace(np.array([[1.0], [1.0]]), Field.REAL)
+    # a tiny column is not zero: every frame decision is scale-invariant
+    assert real_frame([[1.0, 1e-300], [0.0, 1e-300]]).size == 2
 
 
 def test_family_from_projections_validates():
@@ -114,7 +110,7 @@ def test_family_from_frame_matches_its_members(field):
     cols = _gaussian(rng, (4, 9), field)
     p = ProjectionFamily.from_frame(Frame(cols, field))
     units = cols / np.linalg.norm(cols, axis=0)
-    single = [projector_from_basis(units[:, i:i + 1]) for i in range(9)]
+    single = [b @ b.conj().T for b in (units[:, i:i + 1] for i in range(9))]
     np.testing.assert_array_equal(p.projections, np.stack(single))
     assert p.ranks == (1,) * 9
     for i, b in enumerate(p.bases):
@@ -190,23 +186,51 @@ def test_family_from_frame_checks_units_at_the_callers_tolerance():
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 def test_onb_union_and_rank1_reduction_are_the_member_bases(field):
     # the family's bases are the member-by-member eigh bases to the bit, so
-    # onb_union rotates exactly those, and rank1_reduction returns the
-    # normalized frame vectors
+    # onb_union concatenates exactly those, and on a family of rank-1
+    # projections (its rank-1 reduction) returns the normalized frame vectors
     rng = np.random.default_rng(12)
     stack = random_projection_stack(rng, 4, [2, 1, 3, 2], field)
     p = ProjectionFamily.from_projections(stack, field)
-    for seed in (0, 5):
-        stream = spawn_rng(seed, frames._STREAM_UNION)
-        ref = [b @ haar_rotation(stream, b.shape[1], field) for b in _member_bases(stack)]
-        np.testing.assert_array_equal(onb_union(p, seed).vectors, np.concatenate(ref, axis=1))
+    np.testing.assert_array_equal(onb_union(p).vectors, np.concatenate(_member_bases(stack), axis=1))
     cols = _gaussian(rng, (3, 7), field)
     units = cols / np.linalg.norm(cols, axis=0)
-    g = rank1_reduction(ProjectionFamily.from_frame(Frame(cols, field)))
+    g = onb_union(ProjectionFamily.from_frame(Frame(cols, field)))
     np.testing.assert_array_equal(g.vectors, units)
 
 
 # ---------------------------------------------------------------------------
 # complement property
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_cp_is_scale_invariant(field):
+    # the walk's one cutoff is rank_rtol * ||V||_2 * n, so scaling the frame
+    # moves no decision: each scaled frame fails first at the same
+    # bipartition as the unscaled one, on planted failures (two hyperplanes)
+    # and on generic frames of every size around 2n - 1
+    rng = np.random.default_rng(23)
+    compared = failures = 0
+    for k in range(20):
+        n = int(rng.integers(2, 5))
+        cols = _gaussian(rng, (n, 2 * n + 1), field)
+        if k % 2 == 0:
+            cut = int(rng.integers(n, 2 * n))
+            for side in (slice(None, cut), slice(cut, None)):
+                h = _gaussian(rng, (n, 1), field)
+                h /= np.linalg.norm(h)
+                cols[:, side] -= h @ (h.conj().T @ cols[:, side])
+        else:
+            cols = cols[:, :int(rng.integers(n, 2 * n + 2))]
+        ref = complement_property(Frame(cols, field))
+        failures += ref is not None
+        for scale in (1e-9, 1e-30, 1e-100, 1e100):
+            w = complement_property(Frame(scale * cols, field))
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic) == \
+                    (ref.side_I, ref.side_Ic, ref.rank_I, ref.rank_Ic)
+            compared += 1
+    assert compared == 80 and 10 <= failures < 20
+
 
 def test_cp_two_axes_fails():
     w = complement_property(real_frame(np.eye(2)))
@@ -930,7 +954,7 @@ def test_spanning_at_rejects_zero_point():
 def test_onb_union_columns_span_their_subspace(field, rng):
     stack = random_projection_stack(rng, 4, [2, 1, 3], field)
     p = ProjectionFamily.from_projections(stack, field)
-    u = onb_union(p, seed=7)
+    u = onb_union(p)
     owner = tuple(np.repeat(np.arange(p.size), p.ranks))
     assert u.size == 6 and owner == (0, 0, 1, 2, 2, 2)
     for i, proj in enumerate(stack):
@@ -940,34 +964,20 @@ def test_onb_union_columns_span_their_subspace(field, rng):
         np.testing.assert_allclose(proj @ cols, cols, atol=1e-10)
 
 
-def test_onb_union_seed_changes_basis_not_span():
-    rng = np.random.default_rng(3)
-    stack = random_projection_stack(rng, 3, [2, 2], Field.REAL)
-    p = ProjectionFamily.from_projections(stack, Field.REAL)
-    u1 = onb_union(p, seed=1)
-    u2 = onb_union(p, seed=2)
-    assert not np.allclose(u1.vectors, u2.vectors)
-    owner = tuple(np.repeat(np.arange(p.size), p.ranks))
-    for i in range(2):
-        idx = [j for j, o in enumerate(owner) if o == i]
-        a, b = u1.vectors[:, idx], u2.vectors[:, idx]
-        # same column span either way
-        np.testing.assert_allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-10)
-
-
 def test_onb_union_deterministic():
+    # no seed: two families built from the same matrices give the same union
     rng = np.random.default_rng(4)
     stack = random_projection_stack(rng, 3, [1, 2], Field.COMPLEX)
-    p = ProjectionFamily.from_projections(stack, Field.COMPLEX)
-    np.testing.assert_array_equal(onb_union(p, seed=5).vectors, onb_union(p, seed=5).vectors)
+    p, q = (ProjectionFamily.from_projections(stack, Field.COMPLEX) for _ in range(2))
+    np.testing.assert_array_equal(onb_union(p).vectors, onb_union(q).vectors)
 
 
 # ---------------------------------------------------------------------------
-# rank-1 reduction
+# rank-1 reduction: the ONB union of a family of rank-1 projections
 
 def test_rank1_reduction_recovers_lines():
     f = real_frame([[1.0, 3.0], [0.0, 4.0]])
-    g = rank1_reduction(ProjectionFamily.from_frame(f))
+    g = onb_union(ProjectionFamily.from_frame(f))
     for j in range(2):
         a = f.column(j) / np.linalg.norm(f.column(j))
         b = g.column(j)
@@ -975,9 +985,10 @@ def test_rank1_reduction_recovers_lines():
 
 
 def test_rank1_reduction_rejects_higher_rank():
-    p = ProjectionFamily.from_projections([np.eye(2)])
-    with pytest.raises(ValueError, match="rank"):
-        rank1_reduction(p)
+    # a real family with one rank-2 member is not reduced to a frame for the
+    # exact decision: the spanning search answers instead
+    p = ProjectionFamily.from_projections([np.eye(2), np.diag([1.0, 0.0])])
+    assert spanning_falsifier(p, SearchConfig(restarts=4)).method == "spanning-search"
 
 
 @settings(max_examples=30, deadline=None)
@@ -987,7 +998,7 @@ def test_rank1_reduction_preserves_measurements(n, m, cplx, seed):
     field = Field.COMPLEX if cplx else Field.REAL
     cols = random_unit_columns(rng, n, m, field)
     p = ProjectionFamily.from_frame(Frame(cols, field))
-    g = rank1_reduction(p)
+    g = onb_union(p)
     for _ in range(5):
         x = rng.standard_normal(n)
         if cplx:

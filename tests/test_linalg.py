@@ -9,14 +9,11 @@ from phaseret import (
     Tolerances,
     numerical_rank,
     orthonormalize,
-    projector_from_basis,
 )
 from phaseret.linalg import (
     as_field_array,
     ensure_finite,
     gaussian_matrix,
-    haar_rotation,
-    max_abs,
     null_direction,
 )
 
@@ -148,16 +145,6 @@ def test_orthonormalize_idempotent_span(n, m, cplx, seed):
     assert orthonormalize(q).shape == q.shape
 
 
-def test_projector_from_basis_hand_case():
-    b = np.array([[1.0], [1.0]]) / np.sqrt(2)
-    np.testing.assert_allclose(projector_from_basis(b), np.full((2, 2), 0.5), atol=1e-12)
-
-
-def test_projector_from_basis_rejects_non_onb():
-    with pytest.raises(ValueError, match="orthonormal"):
-        projector_from_basis(np.array([[1.0], [1.0]]))
-
-
 def test_null_direction_hand_case():
     y = null_direction(np.array([[1.0], [1.0]]))
     np.testing.assert_allclose(np.linalg.norm(y), 1.0, atol=1e-12)
@@ -190,15 +177,3 @@ def test_gaussian_matrix_dtypes():
     assert gaussian_matrix(rng, 3, 2, Field.REAL).dtype == np.float64
     assert gaussian_matrix(rng, 3, 2, Field.COMPLEX).dtype == np.complex128
 
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 6), st.booleans(), st.integers(0, 10 ** 6))
-def test_haar_rotation_is_unitary(k, cplx, seed):
-    rng = np.random.default_rng(seed)
-    u = haar_rotation(rng, k, Field.COMPLEX if cplx else Field.REAL)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
-
-
-def test_max_abs():
-    assert max_abs(np.array([1.0, -3.0, 2.0])) == 3.0
-    assert max_abs(np.array([])) == 0.0
