@@ -35,6 +35,7 @@ from .linalg import (
     _image_rank_from,
     ensure_finite,
     gaussian_matrix,
+    normalized,
     null_direction,
     orthonormalize,
     rank_cutoff,
@@ -184,14 +185,14 @@ def pr_witness_from_nonspanning(p: ProjectionFamily, x, tol: Tolerances = DEFAUL
     all-zero images at x = e_n.  Only when that first pair does not
     re-verify is y taken again, as the null direction of x alone: when
     every image vanishes, any unit y orthogonal to x gives a pair.  Over
-    R the phase gap is exactly 1.  Raises ValueError for a zero or
-    spanning x, and RuntimeError when neither pair re-verifies.
+    R the phase gap is exactly 1.  Raises ValueError for an exactly zero
+    x (any other is normalized first) or a spanning one, and RuntimeError
+    when neither pair re-verifies.
     """
     x = ensure_finite(np.asarray(x).reshape(-1), "point")
-    nx = np.linalg.norm(x)
-    if nx <= tol.proj_tol:
+    if not x.any():
         raise ValueError("x must be nonzero")
-    x = x / nx
+    x = normalized(x)
     y = null_direction(image_matrix(p, x), tol)
     if y is None:
         raise ValueError("images of x span the space; no witness arises from x")
@@ -568,19 +569,15 @@ def hermitian_nullspace_witness(f: Frame, tol: Tolerances = DEFAULT_TOL,
     Any such Q of rank two factors as u u* - v v*, and the trace
     conditions say exactly that u and v have equal measurements against
     every frame vector.  The trace conditions are m real-linear equations
-    on the n^2 real dimensions of Hermitian space, so m < n^2 guarantees
-    a nonzero solution.  The pair comes from pr_falsifier's lifted
-    spanning search; its Q = u u* - v v* is split into its extreme
-    eigenpairs, which gives the orthogonal pair sqrt(lam+) e+,
-    sqrt(-lam-) e- with the same Q.  Returns None when the search comes
-    up empty.
+    on the n^2 real dimensions of Hermitian space: m < n^2 guarantees a
+    nonzero solution, not one of rank two, and at any m one can exist.
+    The pair comes from pr_falsifier's lifted spanning search; its
+    Q = u u* - v v* is split into its extreme eigenpairs, which gives the
+    orthogonal pair sqrt(lam+) e+, sqrt(-lam-) e- with the same Q.
+    Returns None when the search comes up empty.
     """
     if f.field is not Field.COMPLEX:
         raise FieldError("the Hermitian nullspace construction is a complex-field device")
-    n, m = f.dim, f.size
-    if m >= n * n:
-        raise ValueError(f"need m < n^2 real constraints (m={m}, n^2={n * n}) "
-                         "to guarantee a nonzero Hermitian solution")
     p = ProjectionFamily.from_frame(f, tol)
     verdict = pr_falsifier(p, SearchConfig(seed=seed, tol=tol))
     if verdict.witness is None:

@@ -3,8 +3,9 @@
 Exit codes: 0 property holds / witness valid, 1 property fails or a
 witness was found, 2 usage or input error, 3 search exhausted without a
 witness (inconclusive).  All subcommands accept --seed, falling back to
-the PHASERET_SEED environment variable, then 0; identical command plus
-seed reproduces identical output byte for byte (wall time aside).
+the PHASERET_SEED environment variable, then 0, read before the command
+runs; identical command plus seed reproduces identical output byte for
+byte (wall time aside).
 """
 
 from __future__ import annotations
@@ -46,18 +47,13 @@ _STREAM_SURVEY = 7
 
 
 def _tolerances(args) -> Tolerances:
-    kwargs = {}
-    if getattr(args, "tol_rank", None) is not None:
-        kwargs["rank_rtol"] = args.tol_rank
-    if getattr(args, "tol_witness", None) is not None:
-        kwargs["witness_tol"] = args.tol_witness
-    if getattr(args, "tol_phase", None) is not None:
-        kwargs["phase_tol"] = args.tol_phase
-    return Tolerances(**kwargs)
+    given = {"rank_rtol": args.tol_rank, "witness_tol": args.tol_witness,
+             "phase_tol": args.tol_phase}
+    return Tolerances(**{name: value for name, value in given.items() if value is not None})
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("PHASERET_SEED")
     if env is not None:
@@ -85,56 +81,31 @@ def _config_echo(tol: Tolerances, seed: int, args) -> dict:
     return cfg
 
 
-def _write_report(args, argv, config: dict, results: dict, started: float) -> None:
-    if getattr(args, "out", None) is None:
-        return
-    report = {
-        "command": ["phaseret"] + list(argv),
-        "config": config,
-        "results": results,
-        "version": __version__,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    serialize.save_json(args.out, report)
-
-
 def _fmt_indices(idx) -> str:
     return "{" + ", ".join(str(i) for i in idx) + "}"
 
 
-def _cmd_check_cp(args, argv, started) -> int:
-    tol = _tolerances(args)
+def _cmd_check_cp(args, tol: Tolerances, seed: int):
     f = serialize.load_frame(args.input)
     w = complement_property(f, tol)
     if w is None:
         print("complement property: holds")
-        results = {"holds": True, "witness": None}
-        code = EXIT_HOLDS
-    else:
-        d = serialize.partition_to_dict(w)
-        print(f"complement property: fails, I = {_fmt_indices(d['side_I'])} "
-              f"(rank {w.rank_I}) vs I^c = {_fmt_indices(d['side_Ic'])} (rank {w.rank_Ic})")
-        results = {"holds": False, "witness": d}
-        code = EXIT_FAILS
-    _write_report(args, argv, _config_echo(tol, _seed(args), args), results, started)
-    return code
+        return EXIT_HOLDS, {"holds": True, "witness": None}
+    d = serialize.partition_to_dict(w)
+    print(f"complement property: fails, I = {_fmt_indices(d['side_I'])} "
+          f"(rank {w.rank_I}) vs I^c = {_fmt_indices(d['side_Ic'])} (rank {w.rank_Ic})")
+    return EXIT_FAILS, {"holds": False, "witness": d}
 
 
-def _cmd_check_spark(args, argv, started) -> int:
-    tol = _tolerances(args)
+def _cmd_check_spark(args, tol: Tolerances, seed: int):
     f = serialize.load_frame(args.input)
     bad = full_spark(f, tol, cap=args.cap)
     if bad is None:
         print("full spark: holds")
-        results = {"holds": True, "failing_subset": None}
-        code = EXIT_HOLDS
-    else:
-        shown = [i + 1 for i in bad]
-        print(f"full spark: fails, subset {_fmt_indices(shown)} is rank deficient")
-        results = {"holds": False, "failing_subset": shown}
-        code = EXIT_FAILS
-    _write_report(args, argv, _config_echo(tol, _seed(args), args), results, started)
-    return code
+        return EXIT_HOLDS, {"holds": True, "failing_subset": None}
+    shown = serialize.one_based(bad)
+    print(f"full spark: fails, subset {_fmt_indices(shown)} is rank deficient")
+    return EXIT_FAILS, {"holds": False, "failing_subset": shown}
 
 
 _STATUS_EXIT = {
@@ -157,16 +128,12 @@ def _print_verdict(verdict) -> None:
               f"phase_gap = {w.phase_gap:.3e}")
 
 
-def _cmd_falsify(args, argv, started) -> int:
-    tol = _tolerances(args)
-    seed = _seed(args)
+def _cmd_falsify(args, tol: Tolerances, seed: int):
     p = serialize.load_family(args.input, tol)
     cfg = _search_config(args, tol, seed)
     verdict = spanning_falsifier(p, cfg) if args.mode == "spanning" else pr_falsifier(p, cfg)
     _print_verdict(verdict)
-    results = serialize.verdict_to_dict(verdict, p.field)
-    _write_report(args, argv, _config_echo(tol, seed, args), results, started)
-    return _STATUS_EXIT[verdict.status]
+    return _STATUS_EXIT[verdict.status], serialize.verdict_to_dict(verdict, p.field)
 
 
 def _parse_ranks(text: str) -> list[int]:
@@ -176,9 +143,7 @@ def _parse_ranks(text: str) -> list[int]:
         raise ValueError(f"--ranks must be comma-separated integers, got {text!r}") from None
 
 
-def _cmd_gen(args, argv, started) -> int:
-    tol = _tolerances(args)
-    seed = _seed(args)
+def _cmd_gen(args, tol: Tolerances, seed: int):
     field = Field.parse(args.field)
     code = EXIT_HOLDS
     if args.kind == "full-spark":
@@ -219,7 +184,7 @@ def _cmd_gen(args, argv, started) -> int:
         print(f"wrote {args.out}")
     else:
         print(json.dumps(obj, indent=2, sort_keys=True))
-    return code
+    return code, None
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -264,9 +229,7 @@ def _survey_cell(n: int, m: int, field: Field, trials: int, seed: int,
             "mean_runtime": f"{elapsed / trials:.6f}", "note": ""}
 
 
-def _cmd_survey(args, argv, started) -> int:
-    tol = _tolerances(args)
-    seed = _seed(args)
+def _cmd_survey(args, tol: Tolerances, seed: int):
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     field = Field.parse(args.field)
@@ -289,11 +252,10 @@ def _cmd_survey(args, argv, started) -> int:
         print(f"wrote {args.out} ({len(rows)} cells)")
     else:
         sys.stdout.write(text)
-    return EXIT_HOLDS
+    return EXIT_HOLDS, None
 
 
-def _cmd_verify_witness(args, argv, started) -> int:
-    tol = _tolerances(args)
+def _cmd_verify_witness(args, tol: Tolerances, seed: int):
     p = serialize.load_family(args.input, tol)
     u, v, field = serialize.pair_from_dict(serialize.load_json(args.witness))
     if field is not p.field:
@@ -305,8 +267,7 @@ def _cmd_verify_witness(args, argv, started) -> int:
           f"phase_gap = {check.phase_gap:.3e}")
     results = {"valid": check.valid, "max_mismatch": check.max_mismatch,
                "phase_gap": check.phase_gap}
-    _write_report(args, argv, _config_echo(tol, _seed(args), args), results, started)
-    return EXIT_HOLDS if check.valid else EXIT_FAILS
+    return EXIT_HOLDS if check.valid else EXIT_FAILS, results
 
 
 def _add_tol_flags(sp) -> None:
@@ -397,14 +358,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Resolve tolerances and seed, run one command, and write its results
+    to --out as a report (gen and survey write their own --out)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        return args.func(args, argv, started)
+        tol, seed = _tolerances(args), _seed(args)
+        code, results = args.func(args, tol, seed)
+        if results is not None and args.out is not None:
+            serialize.save_json(args.out, {
+                "command": ["phaseret"] + argv,
+                "config": _config_echo(tol, seed, args),
+                "results": results,
+                "version": __version__,
+                "wall_time_s": time.perf_counter() - started,
+            })
     except (ValueError, FieldError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

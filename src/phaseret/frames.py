@@ -24,6 +24,8 @@ from .linalg import (
     as_field_array,
     ensure_finite,
     image_rank,
+    normalized,
+    pow2_scaled,
     rank_cutoff,
 )
 
@@ -164,11 +166,11 @@ class ProjectionFamily:
     def from_frame(cls, f: Frame, tol: Tolerances = DEFAULT_TOL) -> "ProjectionFamily":
         """Rank-1 projections onto the lines spanned by the frame vectors.
 
-        Each normalized vector must have unit norm within tol.proj_tol (a
-        norm that overflowed does not); the error names the first that
-        does not.
+        Each vector is normalized by linalg.normalized, at any scale, and
+        must then have unit norm within tol.proj_tol; the error names the
+        first that does not.
         """
-        units = f.vectors / np.linalg.norm(f.vectors, axis=0)
+        units = normalized(f.vectors, axis=0)
         resid = np.abs(np.einsum("im,im->m", units.conj(), units).real - 1.0)
         bad = np.flatnonzero(~(resid < tol.proj_tol))
         if bad.size:
@@ -578,7 +580,8 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL) -> PartitionWit
 
     Every side is judged at one cutoff, tau = rank_cutoff(sigma_max(V), n):
     it spans when its sigma_n exceeds tau.  sigma_n only grows as vectors
-    are added, so a side spans whenever some part of it does.
+    are added, so a side spans whenever some part of it does.  The walk
+    runs on pow2_scaled(V), where no square overflows or underflows.
 
     One walk decides every frame, depth first over blocks of mask
     prefixes, top bit first, each a (rows, m-1) 0/1 array of mask bits: a
@@ -604,7 +607,7 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL) -> PartitionWit
     rows per node and raises CapacityError past _WALK_BUDGET of them.
     """
     n, m = f.dim, f.size
-    v = f.vectors
+    v = pow2_scaled(f.vectors)
     tau = rank_cutoff(np.linalg.norm(v, 2), n, tol)
     floor = (2.0 * tau) ** 2
     table = _outer_table(v)
@@ -672,7 +675,7 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     of each subset's determinant (one product of C(n, n // 2) terms per
     subset) where its minor tables fit within the C(m, n) subsets, and a
     Cholesky elimination otherwise; either way the answer is the exact
-    test's.
+    test's.  The walk runs on pow2_scaled(V).
     """
     n, m = f.dim, f.size
     if m < n:
@@ -680,8 +683,9 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     total = math.comb(m, n)
     if total > cap:
         raise CapacityError(f"C({m}, {n}) = {total} subsets exceeds cap {cap}")
-    smax = np.linalg.norm(f.vectors, 2)
-    return _first_deficient_subset(f.vectors, rank_cutoff(smax, n, tol), smax)
+    v = pow2_scaled(f.vectors)
+    smax = np.linalg.norm(v, 2)
+    return _first_deficient_subset(v, rank_cutoff(smax, n, tol), smax)
 
 
 def image_matrix(p: ProjectionFamily, x: np.ndarray) -> np.ndarray:
@@ -693,13 +697,12 @@ def image_matrix(p: ProjectionFamily, x: np.ndarray) -> np.ndarray:
 
 
 def spanning_at(p: ProjectionFamily, x, tol: Tolerances = DEFAULT_TOL) -> SpanningReport:
-    """Do the images {P_i x} span the whole space?"""
+    """Do the images {P_i x} span the whole space?  Any nonzero x will do."""
     x = np.asarray(x).reshape(-1)
     ensure_finite(x, "point")
-    nx = np.linalg.norm(x)
-    if nx <= tol.proj_tol:
+    if not x.any():
         raise ValueError("spanning test point must be nonzero")
-    rank = image_rank(image_matrix(p, x / nx), tol)
+    rank = image_rank(image_matrix(p, normalized(x)), tol)
     return SpanningReport(spans=rank == p.dim, rank=rank)
 
 

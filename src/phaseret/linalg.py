@@ -58,12 +58,34 @@ def ensure_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def pow2_scaled(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """a times the power of two that puts its largest real or imaginary
+    part in [1/2, 1), as one array or each vector along axis: exact in the
+    normal range, and no norm of the result overflows or underflows."""
+    a = np.asarray(a)
+    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=axis, keepdims=True)
+    e = -np.frexp(big)[1]
+    if not np.iscomplexobj(a):
+        return np.ldexp(a, e)
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
+    return out
+
+
+def normalized(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """a over its 2-norm, as one vector or each along axis, after
+    pow2_scaled: bit-identical to a / ||a|| in the normal range."""
+    w = pow2_scaled(a, axis)
+    return w / np.linalg.norm(w, axis=axis, keepdims=True)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numeric thresholds threaded through every rank / witness decision.
 
     rank_rtol   relative singular-value cutoff for rank counting
-    proj_tol    max-entry bound for projector and orthonormality validation
+    proj_tol    max-entry bound for projector and unit-norm validation; a
+                point counts as zero only when it is exactly zero
     witness_tol bound on the measurement mismatch of a witness pair,
                 relative to the pair's squared scale max(||u||, ||v||)^2
     phase_tol   bound below which two vectors count as phase-equivalent

@@ -2,9 +2,10 @@
 
 JSON is the primary format: objects carry an explicit "field" tag and
 complex scalars are stored as [re, im] pairs, so files stay diffable and
-hand-editable.  Vectors are stored as lists of columns; matrices are
-row-major nested lists.  CSV is accepted for real frames only, one
-vector per line.  All human-facing indices are 1-based.
+hand-editable.  Every array goes through one codec, encode_array and
+decode_array: a frame is its list of vectors, a family its list of
+row-major matrices.  CSV is accepted for real frames only, one vector
+per line.  All human-facing indices are 1-based (one_based).
 """
 
 from __future__ import annotations
@@ -19,108 +20,78 @@ from .frames import Frame, PartitionWitness, ProjectionFamily
 from .linalg import DEFAULT_TOL, Field, Tolerances
 
 
-def encode_scalar(z, field: Field):
-    if field is Field.COMPLEX:
-        z = complex(z)
-        return [z.real, z.imag]
-    return float(np.real(z))
+def encode_array(a, field: Field) -> list:
+    """a as nested lists of floats; complex entries become [re, im] pairs
+    on a last axis."""
+    a = np.asarray(a)
+    parts = np.stack([a.real, a.imag], axis=-1) if field is Field.COMPLEX else a.real
+    return parts.astype(np.float64).tolist()
 
 
-def decode_scalar(obj, field: Field, name: str = "entry"):
-    if field is Field.COMPLEX:
-        if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-            raise ValueError(f"{name}: complex scalar must be a [re, im] pair, got {obj!r}")
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, (list, tuple)):
-        raise ValueError(f"{name}: real scalar expected, got pair {obj!r}")
-    return float(obj)
+def decode_array(obj, field: Field, ndim: int, name: str) -> np.ndarray:
+    """The inverse of encode_array: a nonempty, finite ndim-axis array, or
+    a ValueError that names the field for anything else (a null, a string,
+    ragged lists, the wrong depth, a pair that is not two numbers)."""
+    try:
+        arr = np.array(obj, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    pairs = field is Field.COMPLEX
+    if arr is None or arr.ndim != ndim + pairs or not arr.size or (pairs and arr.shape[-1] != 2):
+        entry = "[re, im] pairs" if pairs else "real numbers"
+        raise ValueError(f"{name}: expected lists nested {ndim} deep of {entry}, none empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: entries must be finite numbers")
+    return arr.view(np.complex128)[..., 0] if pairs else arr
 
 
-def encode_vector(v: np.ndarray, field: Field) -> list:
-    return [encode_scalar(z, field) for z in np.asarray(v).reshape(-1)]
-
-
-def decode_vector(obj, field: Field, name: str = "vector") -> np.ndarray:
-    if not isinstance(obj, (list, tuple)):
-        raise ValueError(f"{name}: expected a list of scalars")
-    return np.array([decode_scalar(z, field, name) for z in obj], dtype=field.dtype)
-
-
-def encode_matrix(a: np.ndarray, field: Field) -> list:
-    return [[encode_scalar(z, field) for z in row] for row in np.asarray(a)]
-
-
-def decode_matrix(obj, field: Field, name: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise ValueError(f"{name}: expected a nonempty nested list")
-    rows = [decode_vector(row, field, f"{name} row {i + 1}") for i, row in enumerate(obj)]
-    widths = {r.size for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{name}: ragged rows")
-    return np.stack(rows)
-
-
-def _field_of(d: dict, name: str) -> Field:
+def _read(d: dict, name: str, ndim: int, *keys: str) -> tuple[Field, list[np.ndarray]]:
+    """d's field tag and its arrays at keys, each checked against its 'dim'."""
     if "field" not in d:
         raise ValueError(f"{name}: missing 'field' tag")
-    return Field.parse(str(d["field"]))
+    field = Field.parse(str(d["field"]))
+    arrays = []
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{name}: missing '{key}'")
+        arrays.append(decode_array(d[key], field, ndim, f"{name} '{key}'"))
+        if "dim" in d and d["dim"] != arrays[-1].shape[-1]:
+            raise ValueError(f"{name}: declared dim {d['dim']!r} but '{key}' has length "
+                             f"{arrays[-1].shape[-1]}")
+    return field, arrays
+
+
+def one_based(idx) -> list[int]:
+    """Human-facing indices: every index in a file or a message is 1-based."""
+    return [i + 1 for i in idx]
 
 
 def frame_to_dict(f: Frame) -> dict:
-    return {
-        "field": f.field.value,
-        "dim": f.dim,
-        "vectors": [encode_vector(f.vectors[:, i], f.field) for i in range(f.size)],
-    }
+    return {"field": f.field.value, "dim": f.dim, "vectors": encode_array(f.vectors.T, f.field)}
 
 
 def frame_from_dict(d: dict) -> Frame:
-    field = _field_of(d, "frame")
-    if "vectors" not in d:
-        raise ValueError("frame: missing 'vectors'")
-    cols = [decode_vector(v, field, f"vector {i + 1}") for i, v in enumerate(d["vectors"])]
-    dims = {c.size for c in cols}
-    if len(dims) != 1:
-        raise ValueError("frame: vectors have mixed lengths")
-    arr = np.stack(cols, axis=1)
-    if "dim" in d and int(d["dim"]) != arr.shape[0]:
-        raise ValueError(f"frame: declared dim {d['dim']} but vectors have length {arr.shape[0]}")
-    return Frame(arr, field)
+    field, (vectors,) = _read(d, "frame", 2, "vectors")
+    return Frame(vectors.T, field)
 
 
 def family_to_dict(p: ProjectionFamily) -> dict:
-    return {
-        "field": p.field.value,
-        "dim": p.dim,
-        "projections": [encode_matrix(p.projections[i], p.field) for i in range(p.size)],
-    }
+    return {"field": p.field.value, "dim": p.dim,
+            "projections": encode_array(p.projections, p.field)}
 
 
 def family_from_dict(d: dict, tol: Tolerances = DEFAULT_TOL) -> ProjectionFamily:
-    field = _field_of(d, "projection family")
-    if "projections" not in d:
-        raise ValueError("projection family: missing 'projections'")
-    mats = [decode_matrix(m, field, f"projection {i + 1}")
-            for i, m in enumerate(d["projections"])]
+    field, (mats,) = _read(d, "projection family", 3, "projections")
     return ProjectionFamily.from_projections(mats, field, tol)
 
 
 def pair_to_dict(u: np.ndarray, v: np.ndarray, field: Field) -> dict:
-    return {
-        "field": field.value,
-        "dim": int(np.asarray(u).size),
-        "u": encode_vector(u, field),
-        "v": encode_vector(v, field),
-    }
+    return {"field": field.value, "dim": int(np.asarray(u).size),
+            "u": encode_array(u, field), "v": encode_array(v, field)}
 
 
 def pair_from_dict(d: dict) -> tuple[np.ndarray, np.ndarray, Field]:
-    field = _field_of(d, "witness pair")
-    for key in ("u", "v"):
-        if key not in d:
-            raise ValueError(f"witness pair: missing '{key}'")
-    u = decode_vector(d["u"], field, "u")
-    v = decode_vector(d["v"], field, "v")
+    field, (u, v) = _read(d, "witness pair", 1, "u", "v")
     if u.size != v.size:
         raise ValueError("witness pair: u and v have different lengths")
     return u, v, field
@@ -134,10 +105,9 @@ def witness_to_dict(w: PrWitness, field: Field) -> dict:
 
 
 def partition_to_dict(w: PartitionWitness) -> dict:
-    # 1-based for human-facing output
     return {
-        "side_I": [i + 1 for i in w.side_I],
-        "side_Ic": [i + 1 for i in w.side_Ic],
+        "side_I": one_based(w.side_I),
+        "side_Ic": one_based(w.side_Ic),
         "rank_I": w.rank_I,
         "rank_Ic": w.rank_Ic,
     }
@@ -149,7 +119,7 @@ def verdict_to_dict(v: Verdict, field: Field) -> dict:
         "method": v.method,
         "witness": None if v.witness is None else witness_to_dict(v.witness, field),
         "partition": None if v.partition is None else partition_to_dict(v.partition),
-        "point": None if v.point is None else encode_vector(v.point, field),
+        "point": None if v.point is None else encode_array(v.point, field),
     }
 
 

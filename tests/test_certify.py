@@ -137,6 +137,13 @@ def test_witness_from_nonspanning_axes():
     w = pr_witness_from_nonspanning(p, x)
     chk = verify_pr_witness(p, w.u, w.v)
     assert chk.valid and w.max_mismatch < 1e-12
+    # x is normalized first, so any nonzero multiple gives the same pair
+    # and only zero is refused
+    for s in (1e-9, 1e-170, 5e-324, 1e170):
+        ws = pr_witness_from_nonspanning(p, s * x)
+        assert ws.u.tobytes() == w.u.tobytes() and ws.v.tobytes() == w.v.tobytes(), s
+    with pytest.raises(ValueError, match="nonzero"):
+        pr_witness_from_nonspanning(p, np.zeros(2))
 
 
 def test_witness_from_nonspanning_rejects_spanning_point():
@@ -805,11 +812,15 @@ def test_hermitian_witness_matches_hand_pair():
 
 
 def test_hermitian_witness_field_and_size_guards():
+    # only the field is guarded: the search answers at any m.  A generic
+    # 2 x 4 frame does phase retrieval (m = 4n - 4), so it finds nothing,
+    # while {e1, e2, e1+e2} taken twice (m = 6 >= n^2) has a witness
     with pytest.raises(FieldError):
         hermitian_nullspace_witness(MERCEDES)
-    full = gen_random_frame(2, 4, Field.COMPLEX, seed=0)
-    with pytest.raises(ValueError, match="n\\^2"):
-        hermitian_nullspace_witness(full)
+    assert hermitian_nullspace_witness(gen_random_frame(2, 4, Field.COMPLEX, seed=0)) is None
+    twice = Frame(np.tile(MERCEDES.vectors, 2).astype(complex), Field.COMPLEX)
+    w = hermitian_nullspace_witness(twice)
+    assert verify_pr_witness(ProjectionFamily.from_frame(twice), w.u, w.v).valid
 
 
 def test_hermitian_witness_nonspanning_frame_falls_back():

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -70,6 +71,26 @@ def test_check_cp_tiny_frame_is_valid_input(tmp_path, capsys):
     tiny = pr.Frame(1e-9 * MERCEDES.vectors, pr.Field.REAL)
     assert main(["check-cp", write_frame(tmp_path, tiny)]) == 0
     assert "holds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-170, 1e170])
+@pytest.mark.parametrize("field", [pr.Field.REAL, pr.Field.COMPLEX], ids=["real", "complex"])
+def test_extreme_scales_decide_like_scale_one(tmp_path, scale, field):
+    # {s e1, s e2, s (e1+e2)} gets scale one's exit code and report results
+    # from every command, with no warning (the suite turns them into
+    # errors): no norm, square or determinant overflows or underflows
+    def run(s, argv):
+        frame = pr.Frame((s * MERCEDES.vectors).astype(field.dtype), field)
+        out = str(tmp_path / "report.json")
+        code = main([argv[0], write_frame(tmp_path, frame), *argv[1:], "--out", out])
+        return code, load_json(out)["results"]
+
+    for argv in (["check-cp"], ["check-spark"], ["falsify", "--mode", "spanning"],
+                 ["falsify", "--mode", "pr"]):
+        assert run(scale, argv) == run(1.0, argv), argv
+    if field is pr.Field.REAL:
+        # the frame does phase retrieval: check-cp and falsify agree
+        assert run(scale, ["check-cp"])[0] == run(scale, ["falsify", "--mode", "spanning"])[0] == 0
 
 
 def test_check_spark(tmp_path, capsys):
@@ -329,6 +350,66 @@ def test_verify_witness_field_mismatch(tmp_path):
 
 # ---------------------------------------------------------------------------
 # error handling and seeding
+
+_GOOD_FILES = {
+    "vectors": {"field": "real", "dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+    "projections": {"field": "real", "dim": 2,
+                    "projections": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]},
+    "u": {"field": "real", "dim": 2, "u": [1.0, 1.0], "v": [1.0, -1.0]},
+}
+
+
+def _complex_copy(obj):
+    if isinstance(obj, list):
+        return [_complex_copy(x) for x in obj]
+    return [obj, 0.0]
+
+
+def _malformed(key: str, case: str) -> dict:
+    doc = copy.deepcopy(_GOOD_FILES[key])
+    if case == "short [re] pair":
+        doc["field"] = "complex"
+        doc[key] = _complex_copy(doc[key])
+    # the first row: the list that holds the first entries
+    row = doc[key]
+    for _ in range({"vectors": 1, "projections": 2, "u": 0}[key]):
+        row = row[0]
+    if case == "null":
+        doc[key] = None
+    elif case == "ragged rows":
+        row.pop()
+    elif case.startswith("dim"):
+        doc["dim"] = None if case == "dim null" else "x"
+    else:
+        row[1] = {"null entry": None, "object entry": {}, "non-numeric string": "one",
+                    "pair for a real": [1.0, 0.0], "short [re] pair": [1.0]}[case]
+    return doc
+
+
+@pytest.mark.parametrize("case", ["null", "null entry", "object entry", "non-numeric string",
+                                  "short [re] pair", "ragged rows", "pair for a real",
+                                  "dim null", "dim string"])
+@pytest.mark.parametrize("key", ["vectors", "projections", "u"],
+                         ids=["frame", "family", "witness"])
+def test_malformed_file_is_a_one_line_error(tmp_path, capsys, key, case):
+    # every malformed array or dim in a frame, family or witness file is an
+    # input error (exit 2) whose one stderr line names the field
+    path = str(tmp_path / "bad.json")
+    save_json(path, _malformed(key, case))
+    argv = {"vectors": ["check-cp", path], "projections": ["falsify", path],
+            "u": ["verify-witness", write_frame(tmp_path, MERCEDES), "--witness", path]}[key]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert ("dim" if case.startswith("dim") else f"'{key}'") in captured.err
+
+
+def test_bad_env_seed_is_an_error_before_any_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PHASERET_SEED", "abc")
+    assert main(["check-cp", write_frame(tmp_path, MERCEDES)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "PHASERET_SEED" in captured.err
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -222,14 +222,14 @@ def test_cp_is_scale_invariant(field):
             cols = cols[:, :int(rng.integers(n, 2 * n + 2))]
         ref = complement_property(Frame(cols, field))
         failures += ref is not None
-        for scale in (1e-9, 1e-30, 1e-100, 1e100):
+        for scale in (1e-9, 1e-30, 1e-100, 1e-170, 1e100, 1e170):
             w = complement_property(Frame(scale * cols, field))
             assert (w is None) == (ref is None)
             if w is not None:
                 assert (w.side_I, w.side_Ic, w.rank_I, w.rank_Ic) == \
                     (ref.side_I, ref.side_Ic, ref.rank_I, ref.rank_Ic)
             compared += 1
-    assert compared == 80 and 10 <= failures < 20
+    assert compared == 120 and 10 <= failures < 20
 
 
 def test_cp_two_axes_fails():
@@ -942,9 +942,14 @@ def test_image_matrix_and_spanning_at():
 
 
 def test_spanning_at_rejects_zero_point():
+    # only an exactly zero point: the question is scale-invariant, so a
+    # point of any nonzero norm is answered as its unit vector is
     p = ProjectionFamily.from_frame(real_frame(np.eye(2)))
     with pytest.raises(ValueError):
         spanning_at(p, np.zeros(2))
+    for x in ([1.0, 0.0], [1.0, 1.0]):
+        for s in (1e-9, 1e-170, 5e-324, 1e170):
+            assert spanning_at(p, s * np.array(x)) == spanning_at(p, np.array(x)), (x, s)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,8 @@ import pytest
 import phaseret as pr
 from phaseret import Field, Frame, ProjectionFamily
 from phaseret.serialize import (
-    decode_matrix,
-    decode_scalar,
-    decode_vector,
-    encode_matrix,
-    encode_scalar,
-    encode_vector,
+    decode_array,
+    encode_array,
     family_from_dict,
     family_to_dict,
     frame_from_csv,
@@ -29,19 +25,38 @@ from phaseret.serialize import (
 
 
 def test_scalar_codec():
-    assert encode_scalar(1.5, Field.REAL) == 1.5
-    assert encode_scalar(1 + 2j, Field.COMPLEX) == [1.0, 2.0]
-    assert decode_scalar([1.0, 2.0], Field.COMPLEX) == 1 + 2j
-    assert decode_scalar(3, Field.REAL) == 3.0
-    with pytest.raises(ValueError):
-        decode_scalar([1.0], Field.COMPLEX)
+    # a scalar is a 0-axis array: a float, or one [re, im] pair
+    assert encode_array(1.5, Field.REAL) == 1.5
+    assert encode_array(1 + 2j, Field.COMPLEX) == [1.0, 2.0]
+    assert decode_array([1.0, 2.0], Field.COMPLEX, 0, "z") == 1 + 2j
+    assert decode_array(3, Field.REAL, 0, "x") == 3.0
+    with pytest.raises(ValueError, match="^z:"):
+        decode_array([1.0], Field.COMPLEX, 0, "z")
 
 
 def test_vector_matrix_roundtrip():
     v = np.array([1.0 - 1j, 2.0])
-    assert decode_vector(encode_vector(v, Field.COMPLEX), Field.COMPLEX).tolist() == v.tolist()
+    assert decode_array(encode_array(v, Field.COMPLEX), Field.COMPLEX, 1, "v").tolist() == \
+        v.tolist()
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(decode_matrix(encode_matrix(m, Field.REAL), Field.REAL), m)
+    np.testing.assert_array_equal(decode_array(encode_array(m, Field.REAL), Field.REAL, 2, "m"), m)
+
+
+def test_complex_frame_golden_bytes(tmp_path):
+    # the file format to the byte: columns of [re, im] pairs, signed zeros
+    # and the shortest repr of every float kept, and read back bit for bit
+    cols = np.array([[complex(-0.0, 0.1), complex(1e-300, -0.0)],
+                     [complex(0.1, -0.0), complex(-0.0, 1e-300)]])
+    path = tmp_path / "frame.json"
+    save_json(str(path), frame_to_dict(Frame(cols, Field.COMPLEX)))
+    assert path.read_bytes() == (
+        b'{\n  "dim": 2,\n  "field": "complex",\n  "vectors": [\n'
+        b'    [\n      [\n        -0.0,\n        0.1\n      ],\n'
+        b'      [\n        0.1,\n        -0.0\n      ]\n    ],\n'
+        b'    [\n      [\n        1e-300,\n        -0.0\n      ],\n'
+        b'      [\n        -0.0,\n        1e-300\n      ]\n    ]\n  ]\n}\n')
+    back = load_frame(str(path)).vectors
+    assert back.tobytes() == cols.tobytes()
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
