@@ -581,7 +581,7 @@ def complement_property(f: Frame, tol: Tolerances = DEFAULT_TOL) -> PartitionWit
     Every side is judged at one cutoff, tau = rank_cutoff(sigma_max(V), n):
     it spans when its sigma_n exceeds tau.  sigma_n only grows as vectors
     are added, so a side spans whenever some part of it does.  The walk
-    runs on pow2_scaled(V), where no square overflows or underflows.
+    runs on pow2_scaled(V), so no scale of V over- or underflows its squares.
 
     One walk decides every frame, depth first over blocks of mask
     prefixes, top bit first, each a (rows, m-1) 0/1 array of mask bits: a

@@ -63,9 +63,10 @@ def pow2_scaled(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     part in [1/2, 1), as one array or each vector along axis: exact in the
     normal range, and no norm of the result overflows or underflows."""
     a = np.asarray(a)
-    big = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=axis, keepdims=True)
-    e = -np.frexp(big)[1]
-    if not np.iscomplexobj(a):
+    real = not np.iscomplexobj(a)
+    big = np.abs(a) if real else np.maximum(np.abs(a.real), np.abs(a.imag))
+    e = -np.frexp(big.max(axis=axis, keepdims=True))[1]
+    if real:
         return np.ldexp(a, e)
     out = np.empty_like(a)
     out.real, out.imag = np.ldexp(a.real, e), np.ldexp(a.imag, e)
