@@ -62,7 +62,6 @@ def pow2_scaled(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     """a times the power of two that puts its largest real or imaginary
     part in [1/2, 1), as one array or each vector along axis: exact in the
     normal range, and no norm of the result overflows or underflows."""
-    a = np.asarray(a)
     real = not np.iscomplexobj(a)
     big = np.abs(a) if real else np.maximum(np.abs(a.real), np.abs(a.imag))
     e = -np.frexp(big.max(axis=axis, keepdims=True))[1]
