@@ -56,6 +56,9 @@ _CHUNK = 4096
 # the bipartition walk keeps at most this many prefixes per block, so an
 # early deficient subset or failing bipartition costs little
 _FIRST_CHUNK = 64
+# the Laplace screen lets a block's heads share one product while it
+# multiplies at most this many entries outside their tail ranges
+_MERGE_WASTE = 2048
 # most n-subsets full_spark enumerates by default (its cap)
 _SUBSET_BUDGET = 5_000_000
 # most rows complement_property's walk screens, two per node.  With at most
@@ -337,14 +340,22 @@ def _subset_spans(heads: np.ndarray, tails: np.ndarray):
     # position of each head's first subset, and one past its last
     ends = np.cumsum(tails.shape[0] - first_tail)
     begins = ends - (tails.shape[0] - first_tail)
-    lo, rows = 0, _FIRST_CHUNK
-    while lo < ends[-1]:
-        hi = min(lo + rows, ends[-1])
-        first, final = np.searchsorted(ends, [lo, hi - 1], side="right")
-        shift = (first_tail - begins)[first:final + 1]
-        yield (first, np.maximum(begins[first:final + 1], lo) + shift,
-               np.minimum(ends[first:final + 1], hi) + shift)
-        lo, rows = hi, min(2 * rows, _CHUNK)
+    bounds, rows = [0], _FIRST_CHUNK
+    while bounds[-1] < ends[-1]:
+        bounds.append(min(bounds[-1] + rows, int(ends[-1])))
+        rows = min(2 * rows, _CHUNK)
+    # every block's heads and their tail rows at once, cut into blocks below
+    lo, hi = np.array(bounds[:-1]), np.array(bounds[1:])
+    first = np.searchsorted(ends, lo, side="right")
+    count = np.searchsorted(ends, hi - 1, side="right") - first + 1
+    block = np.repeat(np.arange(lo.size), count)
+    head = np.arange(block.size) - np.repeat(np.cumsum(count) - count - first, count)
+    shift = (first_tail - begins)[head]
+    a = np.maximum(begins[head], lo[block]) + shift
+    b = np.minimum(ends[head], hi[block]) + shift
+    stop = np.cumsum(count).tolist()
+    for i, start in enumerate([0] + stop[:-1]):
+        yield first[i], a[start:stop[i]], b[start:stop[i]]
 
 
 def _subset_blocks(m: int, n: int):
@@ -468,17 +479,85 @@ class _Minors:
         return self.minors[:, lo:hi]
 
 
+@functools.lru_cache(maxsize=32)
+def _laplace_plan(m: int, n: int, first_chunk: int, chunk: int) -> tuple:
+    """The products the Laplace screen takes over the subset blocks of
+    _subset_spans, which depend only on the shape and the block sizes
+    (first_chunk and chunk, the _FIRST_CHUNK and _CHUNK the blocks were
+    cut at, key the cache).
+
+    Returns (rows, a, b, blocks).  Entry i of the first three is a head
+    of some block, rows[i] its place among the block's heads, taking tail
+    rows a[i] to b[i] - 1; each block's entries are consecutive, sorted by
+    (a, b).  blocks holds (first, count, groups) per block: its heads are
+    first to first + count - 1, and each group (p, q, lo, hi) is one
+    product, the signed minors of the heads of entries p to q - 1 times
+    the minors of tail rows lo to hi - 1, which covers their ranges.
+
+    A head takes a suffix of the tail table, all of it from the first tail
+    past its last element, so heads that share a last element share a
+    range; only the last head of a block may stop short, and only the
+    first start late.  A block's heads, in range order, are merged
+    greedily while their product multiplies at most _MERGE_WASTE entries
+    outside their ranges: the group from entry p on is the longest whose
+    waste, the sum over its heads of a[i] - a[p] plus, for a head that
+    stops short, hi - b[i], is within the bound.  That waste grows with the
+    group, so one bisection over all entries at once finds each entry's
+    longest group, and following them from each block's start gives the
+    groups.
+    """
+    heads, tails = _split_tables(m, n)
+    spans = list(_subset_spans(heads, tails))
+    count = np.array([span[1].size for span in spans])
+    stop = np.cumsum(count)
+    block = np.repeat(np.arange(count.size), count)
+    a = np.concatenate([span[1] for span in spans])
+    b = np.concatenate([span[2] for span in spans])
+    order = np.lexsort((b, a, block))
+    a, b = a[order], b[order]
+    rows = order - (stop - count)[block]
+    # s[q] - s[p] - (q - p) a[p] is the waste of entries p to q - 1 when
+    # their product reaches their block's furthest tail, as every group of
+    # two or more heads does; one head alone wastes nothing, and every
+    # group takes at least its first head
+    s = np.concatenate([[0], np.cumsum(a + np.maximum.reduceat(b, stop - count)[block] - b)])
+    pos = np.arange(a.size)
+    good, bad = pos + 1, stop[block] + 1
+    while (bad - good > 1).any():
+        mid = (good + bad) // 2
+        fits = s[mid] - s[pos] - (mid - pos) * a <= _MERGE_WASTE
+        good, bad = np.where(fits, mid, good), np.where(fits, bad, mid)
+    longest = good.tolist()
+    starts, cuts, p = [], [0], 0
+    for end in stop.tolist():
+        while p < end:
+            starts.append(p)
+            p = longest[p]
+        cuts.append(len(starts))
+    # the groups take the entries in turn, each up to the next one's start
+    groups = list(zip(starts, starts[1:] + [a.size], a[starts].tolist(),
+                      np.maximum.reduceat(b, starts).tolist()))
+    blocks = tuple((int(span[0]), span[1].size, tuple(groups[i:j]))
+                   for span, i, j in zip(spans, cuts, cuts[1:]))
+    for array in (rows, a, b):
+        array.flags.writeable = False
+    return rows, a, b, blocks
+
+
 def _laplace_undecided(v: np.ndarray, tau: float, smax: float):
     """The Laplace determinant screen over the lexicographic subset blocks:
-    for each block, the subsets it leaves undecided, in order.
+    the subsets a block leaves undecided, in order, for each block where
+    some product entry is not certified.
 
     v is scaled by 2^-e, exactly, to w with rho = ||w||_2 = smax / 2^e in
     [1/2, 1).  The h x h minors of each head and the t x t minors of each
     tail come from _minor_table (_Minors builds them as the blocks first
     read them), and Laplace's expansion along the head columns
-    (_laplace_pairing) gives det w_S of every subset of a block in one
-    matrix product: its heads' signed minors times the minors of the tails
-    they take, masked to those tails.  Since sigma_1(w_S) <= rho,
+    (_laplace_pairing) gives det w_S of every subset as the product of its
+    head's signed minors with its tail's minors.  A block takes one matrix
+    product per group of heads that share a tail range (_laplace_plan),
+    and the entries of a product that fall outside a head's own tails are
+    dropped among the undecided ones.  Since sigma_1(w_S) <= rho,
     sigma_n(w_S) >= |det w_S| / rho^(n-1), so a subset is certified when
     its computed |det w_S| exceeds rho^(n-1) max(2 tau / 2^e, ratio) plus
     the rounding bound below.  That puts sigma_n(v_S) above 2 tau, twice
@@ -500,7 +579,11 @@ def _laplace_undecided(v: np.ndarray, tau: float, smax: float):
     # minor and C(n, h) in the product and its sum, and a complex product
     # (within sqrt(2) gamma_2 < gamma_3) counts as three, n - 1 of them per
     # term; so the error is at most gamma_steps perm|w_S| <= gamma_steps
-    # prod_j ||w_j||_1, doubled to cover the bound's own rounding.
+    # prod_j ||w_j||_1, doubled to cover the bound's own rounding.  Every
+    # product entry is one sum of C(n, h) terms, a head's minors against a
+    # tail's, however the heads and tails are grouped into products, and
+    # the bound holds for any order of that sum, with or without fused
+    # multiply-adds, so it does not depend on the plan.
     # Underflow adds at most a few smallest-subnormal units per operation,
     # below the ratio floor by hundreds of orders of magnitude.
     steps = h * (h + 1) // 2 + (n - h) * (n - h + 1) // 2 + math.comb(n, h)
@@ -509,18 +592,27 @@ def _laplace_undecided(v: np.ndarray, tau: float, smax: float):
     unit = np.finfo(np.float64).eps / 2
     slack = 2.0 * steps * unit / (1.0 - steps * unit) * np.abs(w).sum(axis=0).max() ** n
     cut = rho ** (n - 1) * max(np.ldexp(2.0 * tau, -e), _SCREEN_RATIO) + slack
-    for first, a, b in _subset_spans(heads, tails):
-        lo, hi = int(a.min()), int(b.max())
-        dets = head_minors.read(first, first + a.size).T @ tail_minors.read(lo, hi)
-        # the block's subsets in row-major order, which is lexicographic
-        undecided = np.abs(dets) <= cut
-        # every head takes its tails on to the table's end, but the last
-        # head of a block may stop short and the first start late
-        undecided &= np.arange(lo, hi) >= a[:, None]
-        undecided[-1, b[-1] - lo:] = False
-        head, tail = np.divmod(np.flatnonzero(undecided), hi - lo)
-        yield np.concatenate([np.take(heads, head + first, axis=0),
-                              np.take(tails, tail + lo, axis=0)], axis=1)
+    rows, a, b, blocks = _laplace_plan(m, n, _FIRST_CHUNK, _CHUNK)
+    for first, count, groups in blocks:
+        block = head_minors.read(first, first + count)
+        found_heads, found_tails = [], []
+        for p, q, lo, hi in groups:
+            dets = block[:, rows[p:q]].T @ tail_minors.read(lo, hi)
+            hit = np.flatnonzero(np.abs(dets) <= cut)
+            if hit.size:
+                # drop the entries outside each head's own tails
+                entry, tail = np.divmod(hit, hi - lo)
+                entry += p
+                tail += lo
+                own = (tail >= a[entry]) & (tail < b[entry])
+                found_heads.append(rows[entry[own]])
+                found_tails.append(tail[own])
+        if found_heads:
+            head, tail = np.concatenate(found_heads), np.concatenate(found_tails)
+            # by head row, then tail row: lexicographic subset order
+            order = np.lexsort((tail, head))
+            yield np.concatenate([np.take(heads, head[order] + first, axis=0),
+                                  np.take(tails, tail[order], axis=0)], axis=1)
 
 
 def _first_deficient_subset(v: np.ndarray, tau: float, smax: float) -> tuple[int, ...] | None:
@@ -538,7 +630,9 @@ def _first_deficient_subset(v: np.ndarray, tau: float, smax: float) -> tuple[int
 
     The Laplace screen (_laplace_undecided) costs one product of
     C(n, n // 2) terms per subset, over two tables of minors, C(n, n // 2)
-    per head and per tail; it runs when those tables hold no more entries
+    per head and per tail, taken a few products per block from a plan
+    cached per shape (_laplace_plan) that multiplies at most about twice
+    the block's subsets; it runs when those tables hold no more entries
     than the C(m, n) subsets they serve, which is from about m = 3n on.
     Smaller frames, whose tables would be larger (C(30, 15) minors for the
     one subset of a 30 x 30 frame), take the Cholesky screen
@@ -672,8 +766,9 @@ def full_spark(f: Frame, tol: Tolerances = DEFAULT_TOL,
     (_first_deficient_subset) screens each lexicographic block of subsets
     and gives every subset the screen leaves undecided the exact batched
     SVD test sigma_n > tau, in order.  The screen is a Laplace expansion
-    of each subset's determinant (one product of C(n, n // 2) terms per
-    subset) where its minor tables fit within the C(m, n) subsets, and a
+    of each subset's determinant (one sum of C(n, n // 2) terms per
+    subset, from matrix products over groups of subsets that share their
+    tails) where its minor tables fit within the C(m, n) subsets, and a
     Cholesky elimination otherwise; either way the answer is the exact
     test's.  The walk runs on pow2_scaled(V).
     """

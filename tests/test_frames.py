@@ -554,12 +554,132 @@ def test_index_tables_never_outgrow_the_subsets(monkeypatch):
                 next(frames._subset_blocks(m, n))
 
 
+def _lex_rank(subsets, m):
+    # lexicographic position of each row of ascending indices among the
+    # n-subsets of range(m): C(m, n) - 1 minus the count of those after it,
+    # sum_i C(m - 1 - c_i, n - i) over 0-based i
+    n = subsets.shape[1]
+    # pascal[k, j] = C(k, j), each column the running sum of the one before
+    pascal = np.zeros((m + 1, n + 1), dtype=np.int64)
+    pascal[:, 0] = 1
+    for j in range(1, n + 1):
+        pascal[1:, j] = np.cumsum(pascal[:-1, j - 1])
+    after = sum(pascal[m - 1 - subsets[:, i], n - i] for i in range(n))
+    return math.comb(m, n) - 1 - after
+
+
+def _plan_entries(m, n):
+    # the entries all the Laplace plan's products multiply
+    blocks = frames._laplace_plan(m, n, frames._FIRST_CHUNK, frames._CHUNK)[3]
+    return sum((q - p) * (hi - lo) for _, _, groups in blocks for p, q, lo, hi in groups)
+
+
+def _laplace_plan_coverage(m, n):
+    # through the plan at the current block sizes, for every n-subset by
+    # lexicographic position: how many of its own block's products multiply
+    # it, and how many products of any block leave it unmasked
+    heads, tails = frames._split_tables(m, n)
+    rows, a, b, blocks = frames._laplace_plan(m, n, frames._FIRST_CHUNK, frames._CHUNK)
+    total = math.comb(m, n)
+    window, size = [0], frames._FIRST_CHUNK
+    while window[-1] < total:
+        window.append(min(window[-1] + size, total))
+        size = min(2 * size, frames._CHUNK)
+    assert len(blocks) == len(window) - 1
+    count = np.array([block[1] for block in blocks])
+    # one row per group: its entries, tail rows, first head, block window
+    # and the end of its block's entries
+    groups = np.array([(p, q, lo, hi, head0, w0, w1, end)
+                       for (head0, _, gs), w0, w1, end
+                       in zip(blocks, window, window[1:], np.cumsum(count))
+                       for p, q, lo, hi in gs], dtype=np.intp)
+    # the groups take the entries in turn, each block's heads once each
+    assert (groups[1:, 0] == groups[:-1, 1]).all() and groups[0, 0] == 0
+    assert groups[-1, 1] == rows.size
+    # the greedy merge: a group of two or more heads multiplies at most
+    # _MERGE_WASTE entries outside their ranges, and one that took the
+    # next head of its block, in range order, too would multiply more
+    size, taken = groups[:, 1] - groups[:, 0], np.add.reduceat(b - a, groups[:, 0])
+    waste = size * (groups[:, 3] - groups[:, 2]) - taken
+    assert (waste[size > 1] <= frames._MERGE_WASTE).all()
+    grown, after = groups[:, 1] < groups[:, 7], np.minimum(groups[:, 1], rows.size - 1)
+    wider = (size + 1) * (np.maximum(groups[:, 3], b[after]) - groups[:, 2]) \
+        - taken - (b - a)[after]
+    assert (wider[grown] > frames._MERGE_WASTE).all()
+    block = np.repeat(np.arange(count.size), count)
+    expect = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
+    assert (rows[np.lexsort((rows, block))] == expect).all()
+    _, _, lo, hi, head0, w0, w1, _ = (np.repeat(column, size) for column in groups.T)
+    head = head0 + rows
+    # a head's subsets are those of the tail rows past its last element,
+    # consecutive in lexicographic order from its first one
+    first = np.searchsorted(tails[:, 0], heads[:, -1], side="right")[head]
+    base = _lex_rank(np.concatenate([heads[head], tails[first]], axis=1).astype(np.intp), m) \
+        - first
+    assert (lo <= a).all() and (a < b).all() and (b <= hi).all()
+    # only a head's own tails are unmasked
+    assert (a >= first).all()
+    start = np.maximum(lo, first)
+    start, stop = np.clip(base + start, w0, w1), np.clip(base + np.maximum(hi, start), w0, w1)
+
+    def spread(starts, stops):
+        # how many of the ranges [starts[i], stops[i]) hold each position
+        edges = np.bincount(starts, minlength=total + 1) - np.bincount(stops, minlength=total + 1)
+        return np.cumsum(edges)[:-1]
+
+    return spread(start, stop), spread(base + a, base + b)
+
+
+def _laplace_shapes_up_to(limit):
+    shapes = []
+    for n in range(2, 30):
+        m = n
+        while math.comb(m, n) <= limit:
+            shapes += [(n, m)] if _takes_laplace(n, m) else []
+            m += 1
+    return shapes
+
+
+def test_laplace_plan_multiplies_every_subset_once():
+    # every Laplace shape of up to 300 k subsets at the default block sizes:
+    # each n-subset is multiplied once by its own block and left unmasked
+    # once, and only a head's own tails are left unmasked
+    shapes = _laplace_shapes_up_to(300_000)
+    assert (5, 26) in shapes and (6, 20) in shapes and (3, 122) in shapes
+    for n, m in shapes:
+        multiplied, unmasked = _laplace_plan_coverage(m, n)
+        assert (multiplied == 1).all() and (unmasked == 1).all(), (n, m)
+
+
+def test_laplace_plan_in_small_blocks_multiplies_every_subset_once(monkeypatch):
+    # 2-subset first blocks growing to 4, where many heads straddle blocks
+    monkeypatch.setattr(frames, "_CHUNK", 4)
+    monkeypatch.setattr(frames, "_FIRST_CHUNK", 2)
+    for n, m in _laplace_shapes_up_to(5000):
+        multiplied, unmasked = _laplace_plan_coverage(m, n)
+        assert (multiplied == 1).all() and (unmasked == 1).all(), (n, m)
+
+
+def test_laplace_plan_multiplies_few_entries_outside_the_subsets():
+    # at the default block sizes, the products over every Laplace shape of
+    # 10 k to 300 k subsets multiply at most 2.5 entries per subset; one
+    # product per block over its heads' whole tail range took 5.78 at the
+    # complex bench shape (6, 20) and 3.26 at the real one (5, 26)
+    shapes = [(n, m) for n, m in _laplace_shapes_up_to(300_000) if math.comb(m, n) >= 10_000]
+    assert (5, 26) in shapes and (6, 20) in shapes
+    for n, m in shapes:
+        assert _plan_entries(m, n) <= 2.5 * math.comb(m, n), (n, m)
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=["real", "complex"])
 def test_subset_walk_in_small_blocks_matches_brute_oracle(field, monkeypatch):
     # 2-row first blocks growing to 4 rows: the first deficient subset at
-    # every cutoff comes out the same across many block boundaries
+    # every cutoff comes out the same across many block boundaries.  The
+    # Laplace plan cache is cleared so the walk runs on plans built at
+    # these block sizes, whichever test ran first
     monkeypatch.setattr(frames, "_CHUNK", 4)
     monkeypatch.setattr(frames, "_FIRST_CHUNK", 2)
+    frames._laplace_plan.cache_clear()
     frames_ = [(n, seed, cols) for n, seed, cols, _ in _near_hyperplane_frames(field)]
     frames_ += list(_shortcut_frames(field))
     for n, seed, cols in frames_:
@@ -693,8 +813,11 @@ def test_no_screen_call_takes_more_than_one_chunk(monkeypatch):
     assert screened == spans
     screened.clear()
     spans.clear()
-    # and C(18, 6) = 18564 on the Laplace side
+    # and C(18, 6) = 18564 on the Laplace side, whose plan reads the blocks
+    # once per shape: cleared, so that it is built here through the wrapper
+    # even when an earlier test cached it
     assert _takes_laplace(6, 18)
+    frames._laplace_plan.cache_clear()
     assert full_spark(real_frame(rng.standard_normal((6, 18)))) is None
     assert not screened and max(spans) == frames._CHUNK and len(spans) > 7
     # the bipartition walk runs past one chunk to the failing bipartition
