@@ -631,8 +631,8 @@ def _first_deficient_subset(v: np.ndarray, tau: float, smax: float) -> tuple[int
     The Laplace screen (_laplace_undecided) costs one product of
     C(n, n // 2) terms per subset, over two tables of minors, C(n, n // 2)
     per head and per tail, taken a few products per block from a plan
-    cached per shape (_laplace_plan) that multiplies at most about twice
-    the block's subsets; it runs when those tables hold no more entries
+    cached per shape (_laplace_plan) that wastes at most _MERGE_WASTE
+    entries per product; it runs when those tables hold no more entries
     than the C(m, n) subsets they serve, which is from about m = 3n on.
     Smaller frames, whose tables would be larger (C(30, 15) minors for the
     one subset of a 30 x 30 frame), take the Cholesky screen
